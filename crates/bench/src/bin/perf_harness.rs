@@ -238,9 +238,9 @@ fn measure_sim(smoke: bool) -> SimBench {
 }
 
 /// The planet-scale arm: an order of magnitude more requests than the exact
-/// arm, run with constant-memory streaming statistics on the calendar
-/// queue. At full scale this is a 10^7-request run whose latency state
-/// stays in a fixed set of histogram buckets and scalar accumulators.
+/// arm, run with constant-memory streaming statistics. At full scale this is
+/// a 10^7-request run whose latency state stays in a fixed set of histogram
+/// buckets and scalar accumulators.
 fn measure_sim_large(smoke: bool) -> SimLargeArm {
     let requests = if smoke { 1_000_000.0 } else { 10_000_000.0 };
     let models = [zoo::cnn_1(), zoo::mlp_l()];

@@ -43,7 +43,7 @@ pub struct DseBench {
 
 /// The large-scale arm of the sim benchmark: an order of magnitude more
 /// requests than the exact arm, run in constant-memory streaming-statistics
-/// mode on the calendar queue.
+/// mode.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SimLargeArm {
     /// Requests offered in the large run.

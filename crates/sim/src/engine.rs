@@ -377,8 +377,8 @@ impl ServingSimulator {
     }
 
     /// Runs the simulation under a [`Scenario`]: fault injection (outages
-    /// and stragglers), queue-depth admission control, a streaming or exact
-    /// statistics accumulator, and the event-queue backing.
+    /// and stragglers), queue-depth admission control, and a streaming or
+    /// exact statistics accumulator.
     ///
     /// `run_scenario` with `Scenario::default()` is exactly
     /// [`ServingSimulator::run`]. Scenario runs are as deterministic as
@@ -541,7 +541,7 @@ impl<'a, R: Recorder> Run<'a, R> {
             recorder,
             latency_keys,
             rng: StdRng::seed_from_u64(sim.config.seed),
-            events: EventQueue::with_kind(scenario.queue),
+            events: EventQueue::new(),
             chips: vec![ChipState::default(); sim.config.chips],
             router: Router::new(models),
             open_source: OpenLoopSource::new(traffic.process),

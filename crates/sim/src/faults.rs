@@ -3,17 +3,15 @@
 //!
 //! A [`Scenario`] is everything about a run that is *not* the fleet or the
 //! traffic: which chips fail or slow down and when, whether arrivals are
-//! shed past a queue-depth cap, which statistics accumulator the run uses,
-//! and which event-queue backing drives it. `Scenario::default()` is the
-//! plain run the golden files pin: no faults, no shedding, exact stats,
-//! calendar queue.
+//! shed past a queue-depth cap, and which statistics accumulator the run
+//! uses. `Scenario::default()` is the plain run the golden files pin: no
+//! faults, no shedding, exact stats.
 //!
 //! Fault injection is deterministic by construction: faults are scheduled as
 //! ordinary timestamped events through the same queue as arrivals, so two
 //! runs with the same seed and scenario are bit-identical.
 
 use crate::error::SimError;
-use crate::event::QueueKind;
 use serde::{Deserialize, Serialize};
 
 /// What happens to a chip during a fault window.
@@ -93,7 +91,7 @@ pub enum StatsMode {
 }
 
 /// The scenario knobs of one run: fault injection, admission control,
-/// statistics mode, and event-queue backing.
+/// and statistics mode.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Scenario {
     /// Fault windows to inject, scheduled as ordinary events.
@@ -104,8 +102,6 @@ pub struct Scenario {
     pub admission_cap: Option<usize>,
     /// Latency-statistics accumulator.
     pub stats: StatsMode,
-    /// Event-queue backing.
-    pub queue: QueueKind,
 }
 
 impl Default for Scenario {
@@ -114,7 +110,6 @@ impl Default for Scenario {
             faults: Vec::new(),
             admission_cap: None,
             stats: StatsMode::Exact,
-            queue: QueueKind::Calendar,
         }
     }
 }
@@ -176,7 +171,6 @@ mod tests {
         assert!(scenario.faults.is_empty());
         assert_eq!(scenario.admission_cap, None);
         assert_eq!(scenario.stats, StatsMode::Exact);
-        assert_eq!(scenario.queue, QueueKind::Calendar);
         assert!(scenario.check(1).is_ok());
     }
 
@@ -221,7 +215,6 @@ mod tests {
             ],
             admission_cap: Some(32),
             stats: StatsMode::Streaming,
-            queue: QueueKind::Heap,
         };
         let text = serde::json::to_string(&scenario);
         let back: Scenario = serde::json::from_str(&text).expect("round trip");

@@ -9,10 +9,9 @@
 //!
 //! Six modules compose the simulator:
 //!
-//! * [`event`] — the deterministic event-queue core: an amortized-O(1)
-//!   calendar queue (bucketed wheel + overflow list, FIFO tie-breaking, no
-//!   wall clock anywhere), with the original binary heap kept as a
-//!   reference backing ([`QueueKind`]);
+//! * [`event`] — the deterministic event-queue core: a binary heap ordered
+//!   by `(time, insertion order)`, so same-time events pop FIFO and no wall
+//!   clock is consulted anywhere;
 //! * [`traffic`] — arrival processes (open-loop Poisson, bursty
 //!   Markov-modulated, closed-loop clients) and weighted model-zoo mixes;
 //! * [`scheduler`] — dispatch policies (FIFO, batching windows,
@@ -77,7 +76,7 @@ pub mod traffic;
 
 pub use engine::{serving_check, serving_check_backend, ModelProfile, ServingSimulator, SimConfig};
 pub use error::SimError;
-pub use event::{EventQueue, QueueKind};
+pub use event::EventQueue;
 pub use faults::{Fault, FaultKind, Scenario, StatsMode};
 pub use scheduler::{FleetLayout, Policy, Sharding};
 pub use stats::{ChipStats, LatencyStats, ModelStats, SimReport};

@@ -1,16 +1,15 @@
-//! Property tests pinning the calendar queue to the binary-heap reference.
+//! Property tests pinning the event queue to an executable spec.
 //!
-//! The calendar queue is only allowed to exist because it is
-//! *indistinguishable* from the heap it replaced: for any interleaving of
-//! pushes and pops, both backings must pop the same events in the same
-//! `(time, insertion)` order, bit for bit. Times are drawn from a coarse
-//! grid so same-time FIFO ties are common, and a slice of events lands far
-//! in the future to exercise the overflow list and lazy rebuilds.
+//! For any interleaving of pushes and pops, the queue must pop the same
+//! events in the same `(time, insertion)` order as a flat insertion-ordered
+//! list, bit for bit. Times are drawn from a coarse grid so same-time FIFO
+//! ties are common, and a slice of events lands six orders of magnitude
+//! later so near and far-future events mix.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use timely_sim::{EventQueue, QueueKind};
+use timely_sim::EventQueue;
 
 /// One step of a queue workload.
 #[derive(Debug, Clone, Copy)]
@@ -19,8 +18,8 @@ enum Op {
     Pop,
 }
 
-/// A seeded workload: tie-heavy grid times, occasional far-future events
-/// (overflow-list territory), and interleaved pops.
+/// A seeded workload: tie-heavy grid times, occasional far-future events,
+/// and interleaved pops.
 fn workload(seed: u64, len: usize) -> Vec<Op> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..len)
@@ -38,11 +37,11 @@ fn workload(seed: u64, len: usize) -> Vec<Op> {
         .collect()
 }
 
-/// Replays `ops` against a queue of the given backing; events carry their
-/// push index so FIFO tie-breaks are observable. Returns every popped
+/// Replays `ops` against an [`EventQueue`]; events carry their push index
+/// so FIFO tie-breaks are observable. Returns every popped
 /// `(time bits, push index)` in pop order, including the final drain.
-fn replay(kind: QueueKind, ops: &[Op]) -> Vec<(u64, usize)> {
-    let mut queue: EventQueue<usize> = EventQueue::with_kind(kind);
+fn replay(ops: &[Op]) -> Vec<(u64, usize)> {
+    let mut queue: EventQueue<usize> = EventQueue::new();
     let mut popped = Vec::new();
     for (index, op) in ops.iter().enumerate() {
         match *op {
@@ -93,19 +92,16 @@ fn replay_model(ops: &[Op]) -> Vec<(u64, usize)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Calendar and heap backings pop identical `(time, seq)` sequences —
-    /// including same-time FIFO ties and overflow-list round trips — and
-    /// both match the flat-list executable spec.
+    /// The queue pops the same `(time, seq)` sequence as the flat-list
+    /// executable spec, including same-time FIFO ties and far-future
+    /// events.
     #[test]
-    fn calendar_and_heap_pop_identically(
+    fn pops_match_the_flat_list_spec(
         seed in 0u64..1_000_000,
         len in 1usize..=300,
     ) {
         let ops = workload(seed, len);
-        let calendar = replay(QueueKind::Calendar, &ops);
-        let heap = replay(QueueKind::Heap, &ops);
-        prop_assert_eq!(&calendar, &heap);
-        prop_assert_eq!(&calendar, &replay_model(&ops));
+        prop_assert_eq!(replay(&ops), replay_model(&ops));
     }
 
     /// Draining a push-only workload yields non-decreasing times with
@@ -113,7 +109,7 @@ proptest! {
     /// the *global* sequence need not be sorted — an early pop can take
     /// t=5 before a later push adds t=1 — which is why this property
     /// drains pushes only; the interleaved case is pinned against the
-    /// heap and the flat-list spec above.)
+    /// flat-list spec above.)
     #[test]
     fn draining_pushes_is_time_sorted_and_fifo_within_ties(
         seed in 0u64..1_000_000,
@@ -123,7 +119,7 @@ proptest! {
             .into_iter()
             .filter(|op| matches!(op, Op::Push { .. }))
             .collect();
-        let popped = replay(QueueKind::Calendar, &pushes);
+        let popped = replay(&pushes);
         for pair in popped.windows(2) {
             let (t0, id0) = pair[0];
             let (t1, id1) = pair[1];

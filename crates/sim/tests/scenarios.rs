@@ -1,13 +1,14 @@
 //! Integration tests for serving scenarios: fault/straggler injection,
-//! admission-control shedding, streaming statistics, and the stale
-//! batch-deadline regression — all pinned for determinism.
+//! admission-control shedding, streaming statistics, the stale
+//! batch-deadline regression, and a deep closed loop seeded at one instant —
+//! all pinned for determinism.
 
 use timely_core::TimelyConfig;
 use timely_nn::zoo;
 use timely_obs::TraceRecorder;
 use timely_sim::{
-    ArrivalProcess, Fault, ModelMix, Policy, QueueKind, Scenario, ServingSimulator, Sharding,
-    SimConfig, StatsMode, TrafficSpec,
+    ArrivalProcess, Fault, ModelMix, Policy, Scenario, ServingSimulator, Sharding, SimConfig,
+    StatsMode, TrafficSpec,
 };
 
 /// A two-model, multi-chip replicated fleet on the paper-default chip.
@@ -78,16 +79,33 @@ fn a_default_scenario_is_exactly_a_plain_run() {
 }
 
 #[test]
-fn the_heap_backing_reproduces_the_calendar_run() {
-    let sim = fleet(3, Policy::ShortestQueue);
-    let spec = traffic(&sim, 0.9);
-    let mut calendar = faulty_scenario();
-    calendar.queue = QueueKind::Calendar;
-    let mut heap = faulty_scenario();
-    heap.queue = QueueKind::Heap;
-    let a = sim.run_scenario(&spec, &calendar).expect("calendar run");
-    let b = sim.run_scenario(&spec, &heap).expect("heap run");
-    assert_eq!(a, b, "queue backing must be observationally invisible");
+fn a_deep_closed_loop_seeded_at_one_instant_ties_out() {
+    // 1,000 clients all issue at t=0 into a two-chip fleet on a 20 ms
+    // horizon: hundreds of events pending at once with a zero initial time
+    // spread, where a time-bucketed queue degrades to linear scans.
+    let sim = fleet(2, Policy::ShortestQueue);
+    let clients = 1_000;
+    let spec = TrafficSpec {
+        process: ArrivalProcess::ClosedLoop {
+            clients,
+            think_time_s: clients as f64 / (0.8 * sim.fleet_capacity_rps(0)),
+        },
+        mix: ModelMix::weighted(vec![(0, 3.0), (1, 1.0)]),
+    };
+    let a = sim
+        .run_scenario(&spec, &Scenario::default())
+        .expect("closed-loop run");
+    let b = sim
+        .run_scenario(&spec, &Scenario::default())
+        .expect("closed-loop run");
+    assert_eq!(a, b, "same seed must be bit-identical");
+    assert!(a.offered >= clients as u64, "every client issues at t=0");
+    assert!(a.max_queue_depth > 100, "the loop must build a deep queue");
+    assert_eq!(
+        a.offered,
+        a.completed + a.backlog + a.shed,
+        "every offered request is completed, backlogged, or shed"
+    );
 }
 
 #[test]
@@ -218,53 +236,45 @@ fn streaming_stats_agree_with_exact_within_a_bucket() {
 }
 
 #[test]
-fn stale_batch_deadlines_are_no_ops_under_both_queue_backings() {
-    for queue in [QueueKind::Calendar, QueueKind::Heap] {
-        // Run A: a window comfortably longer than any interarrival gap at
-        // 3x overload, so every batch flushes on size and its deadline
-        // fires later as a stale no-op.
-        // Run B: a window longer than the horizon, so no deadline ever
-        // fires. Both runs push one deadline event per opened batch, so
-        // event sequence numbers line up and the reports must be equal —
-        // which they are only if stale deadlines really are no-ops.
-        let sim = fleet(
-            2,
-            Policy::Batched {
-                window_s: 0.005,
-                max_batch: 2,
-            },
-        );
-        let spec = traffic(&sim, 3.0);
-        let scenario_a = Scenario {
-            queue,
-            ..Scenario::default()
-        };
-        let a = sim
-            .run_scenario(&spec, &scenario_a)
-            .expect("short-window run");
+fn stale_batch_deadlines_are_no_ops() {
+    // Run A: a window comfortably longer than any interarrival gap at 3x
+    // overload, so every batch flushes on size and its deadline fires later
+    // as a stale no-op.
+    // Run B: a window longer than the horizon, so no deadline ever fires.
+    // Both runs push one deadline event per opened batch, so event sequence
+    // numbers line up and the reports must be equal — which they are only
+    // if stale deadlines really are no-ops.
+    let sim = fleet(
+        2,
+        Policy::Batched {
+            window_s: 0.005,
+            max_batch: 2,
+        },
+    );
+    let spec = traffic(&sim, 3.0);
+    let mut a = sim
+        .run_scenario(&spec, &Scenario::default())
+        .expect("short-window run");
 
-        let sim_b = fleet(
-            2,
-            Policy::Batched {
-                window_s: 1.0,
-                max_batch: 2,
-            },
-        );
-        let b = sim_b
-            .run_scenario(&spec, &scenario_a)
-            .expect("long-window run");
-        // The time-weighted queue-depth integral is split into different
-        // summation chunks by the extra (no-op) deadline events, so it can
-        // drift by a few ulps; every other field must match exactly.
-        let depth_a = a.mean_queue_depth;
-        let depth_b = b.mean_queue_depth;
-        assert!((depth_a - depth_b).abs() <= 1e-9 * depth_a.abs().max(1.0));
-        let mut a = a;
-        let mut b = b;
-        a.mean_queue_depth = 0.0;
-        b.mean_queue_depth = 0.0;
-        assert_eq!(a, b, "stale deadlines must not change the run ({queue:?})");
-    }
+    let sim_b = fleet(
+        2,
+        Policy::Batched {
+            window_s: 1.0,
+            max_batch: 2,
+        },
+    );
+    let mut b = sim_b
+        .run_scenario(&spec, &Scenario::default())
+        .expect("long-window run");
+    // The time-weighted queue-depth integral is split into different
+    // summation chunks by the extra (no-op) deadline events, so it can drift
+    // by a few ulps; every other field must match exactly.
+    let depth_a = a.mean_queue_depth;
+    let depth_b = b.mean_queue_depth;
+    assert!((depth_a - depth_b).abs() <= 1e-9 * depth_a.abs().max(1.0));
+    a.mean_queue_depth = 0.0;
+    b.mean_queue_depth = 0.0;
+    assert_eq!(a, b, "stale deadlines must not change the run");
 }
 
 #[test]

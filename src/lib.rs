@@ -80,7 +80,7 @@ pub mod prelude {
         ChromeTrace, Histogram, MetricsRegistry, NoopRecorder, Profiler, Recorder, TraceRecorder,
     };
     pub use timely_sim::{
-        ArrivalProcess, Fault, FaultKind, ModelMix, Policy, QueueKind, Scenario, ServingSimulator,
-        Sharding, SimConfig, SimError, SimReport, StatsMode, TrafficSpec,
+        ArrivalProcess, Fault, FaultKind, ModelMix, Policy, Scenario, ServingSimulator, Sharding,
+        SimConfig, SimError, SimReport, StatsMode, TrafficSpec,
     };
 }
