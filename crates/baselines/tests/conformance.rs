@@ -6,8 +6,9 @@
 use timely_baselines::{registry, Backend, BackendId, EvalError, IsaacModel};
 use timely_core::{TimelyAccelerator, TimelyConfig};
 use timely_nn::zoo;
+use timely_obs::NoopRecorder;
 use timely_sim::{
-    ArrivalProcess, ModelMix, ModelProfile, ServingSimulator, SimConfig, TrafficSpec,
+    ArrivalProcess, ModelMix, ModelProfile, Scenario, ServingSimulator, SimConfig, TrafficSpec,
 };
 
 #[test]
@@ -151,10 +152,16 @@ fn isaac_low_load_latency_matches_the_analytical_profile() {
         },
     )
     .unwrap();
-    let report = sim.run(&TrafficSpec {
-        process: ArrivalProcess::Poisson { rate },
-        mix: ModelMix::single(0),
-    });
+    let report = sim
+        .run_scenario_recorded(
+            &TrafficSpec {
+                process: ArrivalProcess::Poisson { rate },
+                mix: ModelMix::single(0),
+            },
+            &Scenario::default(),
+            &mut NoopRecorder,
+        )
+        .unwrap();
     assert!(report.completed > 100, "completed {}", report.completed);
     let expected_ms = profile.latency_s * 1e3;
     let drift = (report.latency.p50_ms - expected_ms).abs() / expected_ms;

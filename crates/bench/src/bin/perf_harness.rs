@@ -23,7 +23,7 @@ use timely_bench::perf::{gate_line, ArmStats, DseBench, GateVerdict, SimBench, S
 use timely_core::TimelyConfig;
 use timely_dse::{Constraints, Evaluator, Explorer, SearchSpace, Strategy};
 use timely_nn::zoo;
-use timely_obs::{Histogram, Profiler};
+use timely_obs::{Histogram, NoopRecorder, Profiler};
 use timely_sim::{
     serving_check, ArrivalProcess, ModelMix, Policy, Scenario, ServingSimulator, Sharding,
     SimConfig, StatsMode, TrafficSpec,
@@ -275,7 +275,7 @@ fn measure_sim_large(smoke: bool) -> SimLargeArm {
     // lint:allow(wall-clock) — same wall-time measurement, large arm.
     let start = Instant::now();
     let report = sim
-        .run_scenario(&spec, &scenario)
+        .run_scenario_recorded(&spec, &scenario, &mut NoopRecorder)
         .expect("streaming scenario is well-formed");
     let seconds = start.elapsed().as_secs_f64().max(1e-9);
     let issued: u64 = report.chips.iter().map(|c| c.issued).sum();

@@ -22,7 +22,7 @@ use timely_bench::artifacts::{ServingStudyArtifact, ServingSweepRecord};
 use timely_bench::table::{format_percent, Table};
 use timely_core::{Backend, TimelyAccelerator, TimelyConfig};
 use timely_nn::zoo;
-use timely_obs::{ChromeTrace, TraceRecorder};
+use timely_obs::{ChromeTrace, NoopRecorder, TraceRecorder};
 use timely_sim::{
     ArrivalProcess, Fault, ModelMix, Policy, Scenario, ServingSimulator, Sharding, SimConfig,
     StatsMode, TrafficSpec,
@@ -96,10 +96,16 @@ fn main() {
                         },
                     )
                     .expect("profiled models simulate");
-                    let report = sim.run(&TrafficSpec {
-                        process: ArrivalProcess::Poisson { rate },
-                        mix: ModelMix::single(0),
-                    });
+                    let report = sim
+                        .run_scenario_recorded(
+                            &TrafficSpec {
+                                process: ArrivalProcess::Poisson { rate },
+                                mix: ModelMix::single(0),
+                            },
+                            &Scenario::default(),
+                            &mut NoopRecorder,
+                        )
+                        .expect("valid traffic");
                     if json {
                         sweep.push(ServingSweepRecord {
                             model: model.name().to_string(),
@@ -202,13 +208,15 @@ fn traced_export(
     )
     .expect("serving models fit on one chip");
     let mut recorder = TraceRecorder::new();
-    sim.run_recorded(
+    sim.run_scenario_recorded(
         &TrafficSpec {
             process: ArrivalProcess::Poisson { rate },
             mix: ModelMix::uniform(models.len()),
         },
+        &Scenario::default(),
         &mut recorder,
-    );
+    )
+    .expect("valid traffic");
     if let Some(path) = trace_path {
         // Simulated seconds -> trace microseconds.
         let trace = ChromeTrace::from_recorder(&recorder, 1e6);
@@ -297,10 +305,16 @@ fn cross_backend_study(requests: f64) {
     );
     for (label, mut sim) in fleets {
         sim.set_duration(duration_s);
-        let report = sim.run(&TrafficSpec {
-            process: ArrivalProcess::Poisson { rate },
-            mix: ModelMix::single(0),
-        });
+        let report = sim
+            .run_scenario_recorded(
+                &TrafficSpec {
+                    process: ArrivalProcess::Poisson { rate },
+                    mix: ModelMix::single(0),
+                },
+                &Scenario::default(),
+                &mut NoopRecorder,
+            )
+            .expect("valid traffic");
         table.row(&[
             label.to_string(),
             format!("{:.0}", sim.fleet_capacity_rps(0)),
@@ -376,15 +390,21 @@ fn mixed_zoo_study(models: &[timely_nn::Model], config: &TimelyConfig, requests:
             },
         )
         .expect("serving models fit on one chip");
-        let report = sim.run(&TrafficSpec {
-            process: ArrivalProcess::Bursty {
-                base_rate: 0.5 * base,
-                burst_rate: 2.0 * base,
-                mean_burst_s: 0.1 * duration_s,
-                mean_quiet_s: 0.2 * duration_s,
-            },
-            mix: ModelMix::uniform(models.len()),
-        });
+        let report = sim
+            .run_scenario_recorded(
+                &TrafficSpec {
+                    process: ArrivalProcess::Bursty {
+                        base_rate: 0.5 * base,
+                        burst_rate: 2.0 * base,
+                        mean_burst_s: 0.1 * duration_s,
+                        mean_quiet_s: 0.2 * duration_s,
+                    },
+                    mix: ModelMix::uniform(models.len()),
+                },
+                &Scenario::default(),
+                &mut NoopRecorder,
+            )
+            .expect("valid traffic");
         let label = match sharding {
             Sharding::Replicate => "replicate",
             Sharding::Partition => "partition",
@@ -492,7 +512,7 @@ fn scenario_study(models: &[timely_nn::Model], config: &TimelyConfig, requests: 
     );
     for (label, scenario) in &arms {
         let report = sim
-            .run_scenario(&spec, scenario)
+            .run_scenario_recorded(&spec, scenario, &mut NoopRecorder)
             .expect("scenario arms are well-formed");
         table.row(&[
             (*label).to_string(),
@@ -510,15 +530,16 @@ fn scenario_study(models: &[timely_nn::Model], config: &TimelyConfig, requests: 
 
     // --- Exact vs streaming statistics on the baseline arm -------------------
     let exact = sim
-        .run_scenario(&spec, &Scenario::default())
+        .run_scenario_recorded(&spec, &Scenario::default(), &mut NoopRecorder)
         .expect("baseline arm");
     let streaming = sim
-        .run_scenario(
+        .run_scenario_recorded(
             &spec,
             &Scenario {
                 stats: StatsMode::Streaming,
                 ..Scenario::default()
             },
+            &mut NoopRecorder,
         )
         .expect("streaming arm");
     let mut table = Table::new(
@@ -572,7 +593,13 @@ fn analytical_crosscheck(models: &[timely_nn::Model], config: &TimelyConfig, req
             },
         )
         .expect("serving models fit on one chip");
-        let report = sim.run(&TrafficSpec::poisson(rate, 0));
+        let report = sim
+            .run_scenario_recorded(
+                &TrafficSpec::poisson(rate, 0),
+                &Scenario::default(),
+                &mut NoopRecorder,
+            )
+            .expect("valid traffic");
         let analytical_ms = profile.latency_s * 1e3;
         let drift = (report.latency.p50_ms - analytical_ms).abs() / analytical_ms;
         table.row(&[

@@ -1,4 +1,4 @@
-//! Shared helpers for the benchmark harness binaries and Criterion benches.
+//! Shared helpers for the figure, study, and perf-harness binaries.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the TIMELY
 //! paper's evaluation (see `DESIGN.md` for the experiment index). This

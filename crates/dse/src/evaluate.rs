@@ -34,11 +34,11 @@ use timely_core::accuracy::AccuracyStudy;
 use timely_core::backend::fold_cache_key;
 use timely_core::{
     ArchError, AreaBreakdown, Backend, BackendId, EnergyBreakdown, EnergyByCategory, EvalError,
-    LayerPlacement, ModelMapping, ScheduleSummary, TimelyAccelerator, TimelyConfig,
+    LayerPlacement, ModelMapping, ScheduleSummary, TimelyConfig,
 };
 use timely_nn::workload::ModelWorkload;
 use timely_nn::Model;
-use timely_sim::serving_check_backend;
+use timely_sim::serving_check;
 
 /// The objective vector of one design point. Lower is better on every axis.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -627,16 +627,13 @@ impl Evaluator {
         }
 
         // Optional serving check via the discrete-event simulator: a fleet
-        // of `config.chips` single-chip instances of this backend.
+        // of `config.chips` single-chip instances of this configuration.
         let p99_ms = match self.serving {
             None => 0.0,
             Some(check) => {
-                let mut per_chip = config.clone();
-                per_chip.chips = 1;
-                let report = match serving_check_backend(
+                let report = match serving_check(
                     &self.workloads,
-                    &TimelyAccelerator::new(per_chip),
-                    config.chips.max(1),
+                    config,
                     check.load,
                     check.requests,
                     check.seed,
@@ -674,6 +671,7 @@ impl Evaluator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use timely_core::TimelyAccelerator;
     use timely_nn::zoo;
 
     fn evaluator() -> Evaluator {

@@ -62,9 +62,7 @@ pub use evaluate::{
     BoundCheck, Constraints, EvalStats, Evaluator, Objectives, PointOutcome, PointReport,
     ReferencePoint, ServingCheck,
 };
-pub use pareto::{
-    dominance_ranks, dominance_ranks_flat, dominates, frontier_indices, frontier_indices_flat,
-};
+pub use pareto::{dominance_ranks_flat, dominates, frontier_indices_flat};
 pub use search::{
     DseReport, Explorer, FrontierVerdict, ReferenceReport, ReferenceVerdict, ScreenStats, Strategy,
 };

@@ -1,11 +1,11 @@
 //! Pareto dominance, frontier extraction, and dominance ranking.
 //!
 //! All functions operate on raw objective vectors (`&[f64]`, lower is better
-//! on every axis) so they can be property-tested independently of the
-//! evaluation pipeline. Results are deterministic: the frontier is returned
-//! in a canonical order (lexicographic by objective vector, ties by input
-//! index), so the same point *set* yields the same frontier regardless of
-//! input order.
+//! on every axis; point sets are flat row-major matrices) so they can be
+//! property-tested independently of the evaluation pipeline. Results are
+//! deterministic: the frontier is returned in a canonical order
+//! (lexicographic by objective vector, ties by input index), so the same
+//! point *set* yields the same frontier regardless of input order.
 
 use std::cmp::Ordering;
 
@@ -43,56 +43,10 @@ pub(crate) fn lex(a: &[f64], b: &[f64]) -> Ordering {
     Ordering::Equal
 }
 
-/// Indices of the Pareto frontier of `points`: every point no other point
-/// dominates. Returned sorted lexicographically by objective vector (ties by
-/// index), so the frontier's *values* are invariant under permutation of the
-/// input.
-pub fn frontier_indices(points: &[Vec<f64>]) -> Vec<usize> {
-    let mut frontier: Vec<usize> = (0..points.len())
-        .filter(|&i| {
-            !points
-                .iter()
-                .enumerate()
-                .any(|(j, p)| j != i && dominates(p, &points[i]))
-        })
-        .collect();
-    frontier.sort_by(|&i, &j| lex(&points[i], &points[j]).then(i.cmp(&j)));
-    frontier
-}
-
-/// Non-dominated-sorting rank of every point: rank 0 is the Pareto frontier,
-/// rank 1 the frontier after removing rank 0, and so on (NSGA-style layer
-/// peeling).
-pub fn dominance_ranks(points: &[Vec<f64>]) -> Vec<usize> {
-    const UNRANKED: usize = usize::MAX;
-    let mut rank = vec![UNRANKED; points.len()];
-    let mut remaining: Vec<usize> = (0..points.len()).collect();
-    let mut layer = 0;
-    while !remaining.is_empty() {
-        let front: Vec<usize> = remaining
-            .iter()
-            .copied()
-            .filter(|&i| {
-                !remaining
-                    .iter()
-                    .any(|&j| j != i && dominates(&points[j], &points[i]))
-            })
-            .collect();
-        assert!(
-            !front.is_empty(),
-            "dominance peeling stalled (non-finite objectives?)"
-        );
-        for &i in &front {
-            rank[i] = layer;
-        }
-        remaining.retain(|&i| rank[i] == UNRANKED);
-        layer += 1;
-    }
-    rank
-}
-
-/// Allocation-free variant of [`frontier_indices`] over a flat row-major
-/// matrix of `dims`-wide objective vectors. Same canonical ordering.
+/// Indices of the Pareto frontier of a flat row-major matrix of `dims`-wide
+/// objective vectors: every row no other row dominates. Returned sorted
+/// lexicographically by objective vector (ties by index), so the frontier's
+/// *values* are invariant under permutation of the rows.
 ///
 /// # Panics
 ///
@@ -113,8 +67,9 @@ pub fn frontier_indices_flat(data: &[f64], dims: usize) -> Vec<usize> {
     frontier
 }
 
-/// Allocation-free variant of [`dominance_ranks`] over a flat row-major
-/// matrix of `dims`-wide objective vectors.
+/// Non-dominated-sorting rank of every row of a flat row-major matrix of
+/// `dims`-wide objective vectors: rank 0 is the Pareto frontier, rank 1 the
+/// frontier after removing rank 0, and so on (NSGA-style layer peeling).
 ///
 /// # Panics
 ///
@@ -173,56 +128,42 @@ mod tests {
 
     #[test]
     fn frontier_of_a_known_set() {
-        let points = vec![
-            vec![1.0, 4.0], // frontier
-            vec![2.0, 2.0], // frontier
-            vec![4.0, 1.0], // frontier
-            vec![3.0, 3.0], // dominated by (2,2)
-            vec![5.0, 5.0], // dominated by everything
+        let points = [
+            1.0, 4.0, // frontier
+            2.0, 2.0, // frontier
+            4.0, 1.0, // frontier
+            3.0, 3.0, // dominated by (2,2)
+            5.0, 5.0, // dominated by everything
         ];
-        assert_eq!(frontier_indices(&points), vec![0, 1, 2]);
-        assert_eq!(dominance_ranks(&points), vec![0, 0, 0, 1, 2]);
+        assert_eq!(frontier_indices_flat(&points, 2), vec![0, 1, 2]);
+        assert_eq!(dominance_ranks_flat(&points, 2), vec![0, 0, 0, 1, 2]);
     }
 
     #[test]
     fn duplicates_share_the_frontier() {
-        let points = vec![vec![1.0, 1.0], vec![1.0, 1.0], vec![2.0, 2.0]];
-        assert_eq!(frontier_indices(&points), vec![0, 1]);
-        assert_eq!(dominance_ranks(&points), vec![0, 0, 1]);
+        let points = [1.0, 1.0, 1.0, 1.0, 2.0, 2.0];
+        assert_eq!(frontier_indices_flat(&points, 2), vec![0, 1]);
+        assert_eq!(dominance_ranks_flat(&points, 2), vec![0, 0, 1]);
     }
 
     #[test]
     fn frontier_order_is_canonical() {
-        let a = vec![vec![2.0, 2.0], vec![1.0, 4.0], vec![4.0, 1.0]];
-        let b = vec![vec![4.0, 1.0], vec![2.0, 2.0], vec![1.0, 4.0]];
-        let fa: Vec<&Vec<f64>> = frontier_indices(&a).into_iter().map(|i| &a[i]).collect();
-        let fb: Vec<&Vec<f64>> = frontier_indices(&b).into_iter().map(|i| &b[i]).collect();
-        assert_eq!(fa, fb);
-    }
-
-    #[test]
-    fn flat_variants_agree_with_the_nested_ones() {
-        let points = vec![
-            vec![1.0, 4.0, 2.0],
-            vec![2.0, 2.0, 2.0],
-            vec![4.0, 1.0, 9.0],
-            vec![3.0, 3.0, 3.0],
-            vec![5.0, 5.0, 5.0],
-            vec![1.0, 4.0, 2.0],
-        ];
-        let flat: Vec<f64> = points.iter().flatten().copied().collect();
-        assert_eq!(frontier_indices_flat(&flat, 3), frontier_indices(&points));
-        assert_eq!(dominance_ranks_flat(&flat, 3), dominance_ranks(&points));
-        assert!(frontier_indices_flat(&[], 4).is_empty());
-        assert!(dominance_ranks_flat(&[], 4).is_empty());
+        let a = [2.0, 2.0, 1.0, 4.0, 4.0, 1.0];
+        let b = [4.0, 1.0, 2.0, 2.0, 1.0, 4.0];
+        let values = |m: &[f64]| -> Vec<f64> {
+            frontier_indices_flat(m, 2)
+                .into_iter()
+                .flat_map(|i| m[i * 2..(i + 1) * 2].to_vec())
+                .collect()
+        };
+        assert_eq!(values(&a), values(&b));
     }
 
     #[test]
     fn empty_and_singleton_sets() {
-        assert!(frontier_indices(&[]).is_empty());
-        assert!(dominance_ranks(&[]).is_empty());
-        let one = vec![vec![3.0]];
-        assert_eq!(frontier_indices(&one), vec![0]);
-        assert_eq!(dominance_ranks(&one), vec![0]);
+        assert!(frontier_indices_flat(&[], 4).is_empty());
+        assert!(dominance_ranks_flat(&[], 4).is_empty());
+        assert_eq!(frontier_indices_flat(&[3.0], 1), vec![0]);
+        assert_eq!(dominance_ranks_flat(&[3.0], 1), vec![0]);
     }
 }

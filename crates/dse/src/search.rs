@@ -21,6 +21,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use timely_core::{Backend, EvalError, TimelyConfig};
+use timely_obs::Recorder;
 
 use crate::evaluate::{
     BoundCheck, EvalStats, Evaluator, Objectives, PointOutcome, PointReport, ReferencePoint,
@@ -310,10 +311,8 @@ impl Explorer {
     /// Runs one strategy and records a phase span for it: track 0, category
     /// `dse.strategy`, named by [`Strategy::label`], spanning the strategy's
     /// slice of the candidate stream on the explorer's logical time axis
-    /// (cumulative candidates visited). Searches are not hot per-candidate,
-    /// so dynamic dispatch is fine here — no generic bound to thread through
-    /// callers.
-    pub fn run_recorded(&mut self, strategy: &Strategy, recorder: &mut dyn timely_obs::Recorder) {
+    /// (cumulative candidates visited).
+    pub fn run_recorded<R: Recorder + ?Sized>(&mut self, strategy: &Strategy, recorder: &mut R) {
         let start = self.screen.visited as f64;
         self.run(strategy);
         recorder.span(
@@ -329,7 +328,7 @@ impl Explorer {
     /// stable `dse.screen.*` / `dse.eval.*` counter keys. Call once after
     /// the strategies finish; counters are cumulative, so calling it again
     /// would double-count.
-    pub fn record_stats(&self, recorder: &mut dyn timely_obs::Recorder) {
+    pub fn record_stats<R: Recorder + ?Sized>(&self, recorder: &mut R) {
         let screen = self.screen;
         recorder.counter_add("dse.screen.visited", screen.visited as u64);
         recorder.counter_add("dse.screen.screened_out", screen.screened_out as u64);

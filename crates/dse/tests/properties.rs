@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use timely_core::TimelyConfig;
 use timely_dse::{
-    dominance_ranks, dominates, frontier_indices, Evaluator, PointOutcome, SearchSpace,
+    dominance_ranks_flat, dominates, frontier_indices_flat, Evaluator, PointOutcome, SearchSpace,
 };
 use timely_nn::zoo;
 
@@ -24,6 +24,11 @@ fn random_points(seed: u64, n: usize, dims: usize) -> Vec<Vec<f64>> {
                 .collect()
         })
         .collect()
+}
+
+/// `points` as the flat row-major matrix the Pareto functions take.
+fn flatten(points: &[Vec<f64>]) -> Vec<f64> {
+    points.iter().flatten().copied().collect()
 }
 
 /// A seeded Fisher-Yates permutation of `points`.
@@ -48,7 +53,7 @@ proptest! {
         dims in 1usize..=4,
     ) {
         let points = random_points(seed, n, dims);
-        let frontier = frontier_indices(&points);
+        let frontier = frontier_indices_flat(&flatten(&points), dims);
         prop_assert!(!frontier.is_empty());
         for &i in &frontier {
             for &j in &frontier {
@@ -70,7 +75,7 @@ proptest! {
         dims in 1usize..=4,
     ) {
         let points = random_points(seed, n, dims);
-        let frontier = frontier_indices(&points);
+        let frontier = frontier_indices_flat(&flatten(&points), dims);
         for (i, p) in points.iter().enumerate() {
             if !frontier.contains(&i) {
                 prop_assert!(
@@ -92,9 +97,9 @@ proptest! {
         let points = random_points(seed, n, dims);
         let permuted = shuffled(&points, shuffle_seed);
         let original: Vec<&Vec<f64>> =
-            frontier_indices(&points).into_iter().map(|i| &points[i]).collect();
+            frontier_indices_flat(&flatten(&points), dims).into_iter().map(|i| &points[i]).collect();
         let after: Vec<&Vec<f64>> =
-            frontier_indices(&permuted).into_iter().map(|i| &permuted[i]).collect();
+            frontier_indices_flat(&flatten(&permuted), dims).into_iter().map(|i| &permuted[i]).collect();
         prop_assert_eq!(original, after);
     }
 
@@ -107,8 +112,8 @@ proptest! {
         dims in 1usize..=3,
     ) {
         let points = random_points(seed, n, dims);
-        let ranks = dominance_ranks(&points);
-        let frontier = frontier_indices(&points);
+        let ranks = dominance_ranks_flat(&flatten(&points), dims);
+        let frontier = frontier_indices_flat(&flatten(&points), dims);
         for (i, &rank) in ranks.iter().enumerate() {
             prop_assert_eq!(rank == 0, frontier.contains(&i));
             if rank > 0 {

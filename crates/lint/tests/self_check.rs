@@ -66,7 +66,7 @@ fn live_call_graph_covers_the_workspace() {
         report.graph.entry_points,
         vec![
             "Backend::evaluate".to_string(),
-            "ServingSimulator::run_scenario".to_string(),
+            "ServingSimulator::run_scenario_recorded".to_string(),
             "Explorer::run".to_string(),
         ]
     );

@@ -338,79 +338,38 @@ impl ServingSimulator {
             .sum()
     }
 
-    /// Runs the simulation under the given traffic and returns the report.
+    /// Runs the simulation under the given traffic and [`Scenario`] and
+    /// returns the report. This is the simulator's one entry point: pass
+    /// `&Scenario::default()` for a plain run (no faults, no shedding, exact
+    /// statistics) and `&mut NoopRecorder` for no telemetry.
     ///
-    /// Runs are deterministic: the same simulator, traffic, and
-    /// [`SimConfig::seed`] always produce an identical [`SimReport`].
+    /// Runs are deterministic: the same simulator, traffic, scenario, and
+    /// [`SimConfig::seed`] always produce an identical [`SimReport`]. Faults
+    /// (outages and stragglers) travel through the same event queue as
+    /// arrivals, so fault-injected runs are as reproducible as plain ones.
     ///
-    /// # Panics
+    /// A shed arrival (queue-depth admission control) is dropped before
+    /// dispatch: it counts in [`SimReport::shed`] (never in backlog), and a
+    /// closed-loop client whose request is shed retires for the rest of the
+    /// run.
     ///
-    /// Panics if the traffic mix references a model index outside the fleet's
-    /// model list, or if the arrival process or dispatch policy parameters
-    /// are invalid ([`ServingSimulator::run_scenario`] is the panic-free
-    /// form).
-    pub fn run(&self, traffic: &TrafficSpec) -> SimReport {
-        self.run_recorded(traffic, &mut NoopRecorder)
-    }
-
-    /// [`ServingSimulator::run`] with deterministic telemetry: per-event-type
-    /// counters (`sim.event.*`), per-chip busy spans on simulated time (one
-    /// span per issued request, track = chip index), the fleet queue-depth
-    /// high-water gauge (`sim.queue.depth_peak`), and per-model latency
-    /// histograms in milliseconds (`sim.latency_ms.<model>`).
-    ///
-    /// The recorder never influences the run: `run_recorded` with any
-    /// recorder returns the same [`SimReport`] as [`ServingSimulator::run`],
-    /// and with a [`NoopRecorder`] the instrumented hot path monomorphizes
-    /// back to the uninstrumented code (no allocation, no dispatch).
-    ///
-    /// # Panics
-    ///
-    /// See [`ServingSimulator::run`].
-    pub fn run_recorded<R: Recorder>(&self, traffic: &TrafficSpec, recorder: &mut R) -> SimReport {
-        match self.run_scenario_recorded(traffic, &Scenario::default(), recorder) {
-            Ok(report) => report,
-            // Documented contract of the infallible entry points;
-            // run_scenario is the Result form. lint:allow(panic)
-            Err(err) => panic!("{err}"),
-        }
-    }
-
-    /// Runs the simulation under a [`Scenario`]: fault injection (outages
-    /// and stragglers), queue-depth admission control, and a streaming or
-    /// exact statistics accumulator.
-    ///
-    /// `run_scenario` with `Scenario::default()` is exactly
-    /// [`ServingSimulator::run`]. Scenario runs are as deterministic as
-    /// plain runs: faults travel through the same event queue as arrivals,
-    /// so two runs with the same seed and scenario are bit-identical.
-    ///
-    /// A shed arrival is dropped before dispatch: it counts in
-    /// [`SimReport::shed`] (never in backlog), and a closed-loop client
-    /// whose request is shed retires for the rest of the run.
+    /// The recorder receives deterministic telemetry on simulated time:
+    /// per-event-type counters (`sim.event.*`), per-chip busy spans (one span
+    /// per issued request, track = chip index), the fleet queue-depth
+    /// high-water gauge (`sim.queue.depth_peak`), per-model latency
+    /// histograms in milliseconds (`sim.latency_ms.<model>`),
+    /// `sim.failures.*` counters (`outage`/`straggler`/`recovered`), the
+    /// `sim.shed` counter, and one span per fault window (track = chip
+    /// index, category `"fault"`). The recorder never changes the report:
+    /// every recorder yields the same [`SimReport`], and with a
+    /// [`NoopRecorder`] the instrumented hot path monomorphizes back to the
+    /// uninstrumented code (no allocation, no dispatch).
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] when the traffic, mix, or scenario is malformed
-    /// (this is the panic-free form of the checks [`ServingSimulator::run`]
-    /// documents as panics).
-    pub fn run_scenario(
-        &self,
-        traffic: &TrafficSpec,
-        scenario: &Scenario,
-    ) -> Result<SimReport, SimError> {
-        self.run_scenario_recorded(traffic, scenario, &mut NoopRecorder)
-    }
-
-    /// [`ServingSimulator::run_scenario`] with deterministic telemetry: the
-    /// [`ServingSimulator::run_recorded`] streams plus `sim.failures.*`
-    /// counters (`outage`/`straggler`/`recovered`), the `sim.shed` counter,
-    /// and one span per fault window (track = chip index, category
-    /// `"fault"`).
-    ///
-    /// # Errors
-    ///
-    /// See [`ServingSimulator::run_scenario`].
+    /// Returns [`SimError`] when the arrival process, dispatch policy,
+    /// traffic mix (a model index outside the fleet), or scenario is
+    /// malformed.
     pub fn run_scenario_recorded<R: Recorder>(
         &self,
         traffic: &TrafficSpec,
@@ -967,7 +926,7 @@ impl<'a, R: Recorder> Run<'a, R> {
 }
 
 /// Stable telemetry key for one event type (the `sim.event.*` counters of
-/// [`ServingSimulator::run_recorded`]).
+/// [`ServingSimulator::run_scenario_recorded`]).
 fn event_key(event: &Event) -> &'static str {
     match event {
         Event::Arrival(_) => "sim.event.arrival",
@@ -994,12 +953,10 @@ fn event_key(event: &Event) -> &'static str {
 /// # Errors
 ///
 /// Propagates profiling errors (invalid configuration, a model too large for
-/// one chip).
-///
-/// # Panics
-///
-/// Panics if `models` is empty, or if `load` or `requests` is not a positive
-/// finite number.
+/// one chip), and returns [`EvalError::Unsupported`] when `models` is empty,
+/// when `load` is not a positive finite number, when `requests` is not a
+/// finite number of at least 1, or when the simulator rejects the derived
+/// traffic.
 pub fn serving_check(
     models: &[Model],
     chip_config: &TimelyConfig,
@@ -1009,51 +966,32 @@ pub fn serving_check(
 ) -> Result<SimReport, EvalError> {
     let mut per_chip = chip_config.clone();
     per_chip.chips = 1;
-    serving_check_backend(
-        models,
-        &TimelyAccelerator::new(per_chip),
-        chip_config.chips.max(1),
-        load,
-        requests,
-        seed,
-    )
-}
-
-/// The backend-generic [`serving_check`]: simulates a uniform mix of
-/// `models` on `chips` replicated instances of `backend` under open-loop
-/// Poisson traffic at `load` × the fleet's mix capacity.
-///
-/// # Errors
-///
-/// Propagates evaluation errors (invalid configuration, a model the backend
-/// does not support).
-///
-/// # Panics
-///
-/// Panics if `models` is empty, `chips` is zero, or `load`/`requests` is not
-/// a positive finite number.
-pub fn serving_check_backend(
-    models: &[Model],
-    backend: &dyn Backend,
-    chips: usize,
-    load: f64,
-    requests: f64,
-    seed: u64,
-) -> Result<SimReport, EvalError> {
-    assert!(load > 0.0 && load.is_finite(), "load must be > 0");
-    assert!(
-        requests >= 1.0 && requests.is_finite(),
-        "requests must be >= 1"
-    );
-    assert!(chips > 0, "fleet needs at least one chip");
+    let backend = TimelyAccelerator::new(per_chip);
+    let unsupported = |reason: String| EvalError::Unsupported {
+        backend: backend.id(),
+        reason,
+    };
+    if models.is_empty() {
+        return Err(unsupported("serving check needs at least one model".into()));
+    }
+    if !(load > 0.0 && load.is_finite()) {
+        return Err(unsupported(format!(
+            "serving load must be positive and finite, got {load}"
+        )));
+    }
+    if !(requests >= 1.0 && requests.is_finite()) {
+        return Err(unsupported(format!(
+            "serving requests must be finite and >= 1, got {requests}"
+        )));
+    }
     let sim = ServingSimulator::for_backend(
         models,
-        backend,
+        &backend,
         SimConfig {
             seed,
             // Placeholder horizon; replaced below once capacity is known.
             duration_s: 1.0,
-            chips,
+            chips: chip_config.chips.max(1),
             policy: Policy::ShortestQueue,
             sharding: Sharding::Replicate,
         },
@@ -1078,11 +1016,8 @@ pub fn serving_check_backend(
     // The fallible run keeps this entry point (the explorer's serving
     // objective) panic-free: a malformed derived rate surfaces as an
     // evaluation error, not a crash mid-sweep.
-    sim.run_scenario(&traffic, &Scenario::default())
-        .map_err(|err| EvalError::Unsupported {
-            backend: backend.id(),
-            reason: format!("serving simulation rejected its inputs: {err}"),
-        })
+    sim.run_scenario_recorded(&traffic, &Scenario::default(), &mut NoopRecorder)
+        .map_err(|err| unsupported(format!("serving simulation rejected its inputs: {err}")))
 }
 
 #[cfg(test)]
@@ -1131,7 +1066,13 @@ mod tests {
         let rate = 0.05 * profile.capacity_rps();
         let duration = 500.0 / rate; // ~500 arrivals
         let sim = small_fleet(1, Policy::Fifo, duration);
-        let report = sim.run(&TrafficSpec::poisson(rate, 0));
+        let report = sim
+            .run_scenario_recorded(
+                &TrafficSpec::poisson(rate, 0),
+                &Scenario::default(),
+                &mut NoopRecorder,
+            )
+            .unwrap();
         assert!(report.completed > 100, "completed {}", report.completed);
         let expected_ms = profile.latency_s * 1e3;
         // At 5% load queueing is negligible: p50 equals the service latency.
@@ -1149,13 +1090,19 @@ mod tests {
         let profile = profile_cnn_1();
         let duration = 2_000.0 * profile.initiation_interval_s; // ~2000 completions
         let sim = small_fleet(1, Policy::Fifo, duration);
-        let report = sim.run(&TrafficSpec {
-            process: ArrivalProcess::ClosedLoop {
-                clients: profile.saturating_clients(),
-                think_time_s: 0.0,
-            },
-            mix: ModelMix::single(0),
-        });
+        let report = sim
+            .run_scenario_recorded(
+                &TrafficSpec {
+                    process: ArrivalProcess::ClosedLoop {
+                        clients: profile.saturating_clients(),
+                        think_time_s: 0.0,
+                    },
+                    mix: ModelMix::single(0),
+                },
+                &Scenario::default(),
+                &mut NoopRecorder,
+            )
+            .unwrap();
         let capacity = sim.fleet_capacity_rps(0);
         assert!(
             (report.throughput_rps - capacity).abs() / capacity < 0.05,
@@ -1173,13 +1120,18 @@ mod tests {
         let clients = profile.saturating_clients() * 2;
         let run = |chips: usize| {
             let sim = small_fleet(chips, Policy::ShortestQueue, duration);
-            sim.run(&TrafficSpec {
-                process: ArrivalProcess::ClosedLoop {
-                    clients,
-                    think_time_s: 0.0,
+            sim.run_scenario_recorded(
+                &TrafficSpec {
+                    process: ArrivalProcess::ClosedLoop {
+                        clients,
+                        think_time_s: 0.0,
+                    },
+                    mix: ModelMix::single(0),
                 },
-                mix: ModelMix::single(0),
-            })
+                &Scenario::default(),
+                &mut NoopRecorder,
+            )
+            .unwrap()
             .throughput_rps
         };
         let one = run(1);
@@ -1193,8 +1145,20 @@ mod tests {
         let duration = 1_000.0 * profile.initiation_interval_s;
         let sim = small_fleet(1, Policy::Fifo, duration);
         let capacity = sim.fleet_capacity_rps(0);
-        let light = sim.run(&TrafficSpec::poisson(0.2 * capacity, 0));
-        let heavy = sim.run(&TrafficSpec::poisson(3.0 * capacity, 0));
+        let light = sim
+            .run_scenario_recorded(
+                &TrafficSpec::poisson(0.2 * capacity, 0),
+                &Scenario::default(),
+                &mut NoopRecorder,
+            )
+            .unwrap();
+        let heavy = sim
+            .run_scenario_recorded(
+                &TrafficSpec::poisson(3.0 * capacity, 0),
+                &Scenario::default(),
+                &mut NoopRecorder,
+            )
+            .unwrap();
         assert!(heavy.backlog > light.backlog);
         assert!(heavy.latency.p99_ms > light.latency.p99_ms);
         assert!(heavy.mean_queue_depth > light.mean_queue_depth);
@@ -1215,7 +1179,13 @@ mod tests {
             },
             duration,
         );
-        let report = sim.run(&TrafficSpec::poisson(rate, 0));
+        let report = sim
+            .run_scenario_recorded(
+                &TrafficSpec::poisson(rate, 0),
+                &Scenario::default(),
+                &mut NoopRecorder,
+            )
+            .unwrap();
         assert!(report.completed > 100);
         // Batched requests wait in the window on top of service latency, so
         // the median sits at or above the unqueued latency.
@@ -1241,10 +1211,16 @@ mod tests {
             },
         )
         .unwrap();
-        let report = sim.run(&TrafficSpec {
-            process: ArrivalProcess::Poisson { rate: 2000.0 },
-            mix: ModelMix::uniform(2),
-        });
+        let report = sim
+            .run_scenario_recorded(
+                &TrafficSpec {
+                    process: ArrivalProcess::Poisson { rate: 2000.0 },
+                    mix: ModelMix::uniform(2),
+                },
+                &Scenario::default(),
+                &mut NoopRecorder,
+            )
+            .unwrap();
         // Both chips saw work, and issue counts equal per-model completions
         // plus whatever is still in flight.
         assert!(report.chips[0].issued > 0);
@@ -1267,8 +1243,12 @@ mod tests {
             },
             mix: ModelMix::single(0),
         };
-        let a = sim.run(&traffic);
-        let b = sim.run(&traffic);
+        let a = sim
+            .run_scenario_recorded(&traffic, &Scenario::default(), &mut NoopRecorder)
+            .unwrap();
+        let b = sim
+            .run_scenario_recorded(&traffic, &Scenario::default(), &mut NoopRecorder)
+            .unwrap();
         assert_eq!(a, b);
         assert!(a.completed > 0);
     }
@@ -1279,9 +1259,13 @@ mod tests {
         let rate = 0.5 * profile.capacity_rps();
         let mut sim = small_fleet(1, Policy::Fifo, 500.0 / rate);
         let traffic = TrafficSpec::poisson(rate, 0);
-        let a = sim.run(&traffic);
+        let a = sim
+            .run_scenario_recorded(&traffic, &Scenario::default(), &mut NoopRecorder)
+            .unwrap();
         sim.config.seed = 43;
-        let b = sim.run(&traffic);
+        let b = sim
+            .run_scenario_recorded(&traffic, &Scenario::default(), &mut NoopRecorder)
+            .unwrap();
         assert_ne!(a.latency, b.latency);
     }
 
@@ -1290,7 +1274,13 @@ mod tests {
         let profile = profile_cnn_1();
         let rate = 0.3 * profile.capacity_rps();
         let sim = small_fleet(1, Policy::Fifo, 500.0 / rate);
-        let report = sim.run(&TrafficSpec::poisson(rate, 0));
+        let report = sim
+            .run_scenario_recorded(
+                &TrafficSpec::poisson(rate, 0),
+                &Scenario::default(),
+                &mut NoopRecorder,
+            )
+            .unwrap();
         let per_req = sim.profiles()[0].energy_mj;
         // The fleet's total energy counts *issued* requests; per-request
         // energy divides by completions, so it is >= the profile value.
@@ -1349,8 +1339,12 @@ mod tests {
         );
         // The mixed fleet still runs deterministically and serves traffic.
         let traffic = TrafficSpec::poisson(0.6 * sim.fleet_capacity_rps(0), 0);
-        let a = sim.run(&traffic);
-        let b = sim.run(&traffic);
+        let a = sim
+            .run_scenario_recorded(&traffic, &Scenario::default(), &mut NoopRecorder)
+            .unwrap();
+        let b = sim
+            .run_scenario_recorded(&traffic, &Scenario::default(), &mut NoopRecorder)
+            .unwrap();
         assert_eq!(a, b);
         assert!(a.completed > 0);
         assert!(a.chips[0].issued > 0 && a.chips[1].issued > 0);
@@ -1364,25 +1358,21 @@ mod tests {
     }
 
     #[test]
-    fn run_recorded_with_a_noop_recorder_matches_run_exactly() {
-        let profile = profile_cnn_1();
-        let rate = 0.6 * profile.capacity_rps();
-        let sim = small_fleet(2, Policy::ShortestQueue, 300.0 / rate);
-        let traffic = TrafficSpec::poisson(rate, 0);
-        let plain = sim.run(&traffic);
-        let recorded = sim.run_recorded(&traffic, &mut timely_obs::NoopRecorder);
-        assert_eq!(plain, recorded);
-    }
-
-    #[test]
     fn recorded_telemetry_agrees_with_the_report() {
         let profile = profile_cnn_1();
         let rate = 0.7 * profile.capacity_rps();
         let sim = small_fleet(2, Policy::ShortestQueue, 300.0 / rate);
         let traffic = TrafficSpec::poisson(rate, 0);
         let mut recorder = timely_obs::TraceRecorder::new();
-        let report = sim.run_recorded(&traffic, &mut recorder);
-        assert_eq!(report, sim.run(&traffic), "recording never perturbs a run");
+        let report = sim
+            .run_scenario_recorded(&traffic, &Scenario::default(), &mut recorder)
+            .unwrap();
+        assert_eq!(
+            report,
+            sim.run_scenario_recorded(&traffic, &Scenario::default(), &mut NoopRecorder)
+                .unwrap(),
+            "recording never perturbs a run"
+        );
         let metrics = recorder.metrics();
         // Counters tie out against the report's own accounting.
         assert_eq!(metrics.counter("sim.event.arrival"), report.offered);
@@ -1414,7 +1404,8 @@ mod tests {
         let traffic = TrafficSpec::poisson(rate, 0);
         let export = || {
             let mut recorder = timely_obs::TraceRecorder::new();
-            sim.run_recorded(&traffic, &mut recorder);
+            sim.run_scenario_recorded(&traffic, &Scenario::default(), &mut recorder)
+                .unwrap();
             timely_obs::ChromeTrace::from_recorder(&recorder, 1e6).to_json()
         };
         let a = export();
@@ -1423,6 +1414,32 @@ mod tests {
         assert!(a.starts_with('['));
         let parsed = timely_obs::ChromeTrace::from_json(&a).expect("export parses back");
         assert!(!parsed.events.is_empty());
+    }
+
+    #[test]
+    fn serving_check_rejects_hostile_inputs_without_unwinding() {
+        let cfg = TimelyConfig::paper_default();
+        let models = [zoo::cnn_1()];
+        let cases: [(&str, &[Model], f64, f64); 8] = [
+            ("zero load", &models, 0.0, 200.0),
+            ("negative load", &models, -1.0, 200.0),
+            ("NaN load", &models, f64::NAN, 200.0),
+            ("infinite load", &models, f64::INFINITY, 200.0),
+            ("zero requests", &models, 0.5, 0.0),
+            ("NaN requests", &models, 0.5, f64::NAN),
+            ("infinite requests", &models, 0.5, f64::INFINITY),
+            ("no models", &[], 0.5, 200.0),
+        ];
+        for (label, models, load, requests) in cases {
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                serving_check(models, &cfg, load, requests, 1)
+            }));
+            let result = outcome.unwrap_or_else(|_| panic!("{label}: serving_check unwound"));
+            assert!(
+                matches!(result, Err(EvalError::Unsupported { .. })),
+                "{label}: {result:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Structured simulator errors.
 //!
-//! The simulator has two API surfaces: infallible convenience entry points
-//! (`run`, `push`, `weighted`, ...) that keep their documented panics for
-//! driver code, and fallible forms (`run_scenario`, `try_push`,
-//! `try_weighted`, `check`, ...) that return [`SimError`] for library
-//! callers that must stay panic-free.
+//! The fallible simulator APIs (`ServingSimulator::run_scenario_recorded`,
+//! `ModelMix::weighted`, `EventQueue::try_push`, the `check` methods)
+//! return [`SimError`] instead of panicking, so library callers stay
+//! panic-free.
 
 use std::fmt;
 

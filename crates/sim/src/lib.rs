@@ -39,8 +39,10 @@
 //! ```
 //! use timely_core::TimelyConfig;
 //! use timely_nn::zoo;
+//! use timely_obs::NoopRecorder;
 //! use timely_sim::{
-//!     ArrivalProcess, ModelMix, Policy, ServingSimulator, Sharding, SimConfig, TrafficSpec,
+//!     ArrivalProcess, ModelMix, Policy, Scenario, ServingSimulator, Sharding, SimConfig,
+//!     TrafficSpec,
 //! };
 //!
 //! let sim = ServingSimulator::new(
@@ -55,12 +57,15 @@
 //!     },
 //! )?;
 //! let rate = 0.5 * sim.fleet_capacity_rps(0);
-//! let report = sim.run(&TrafficSpec {
+//! let traffic = TrafficSpec {
 //!     process: ArrivalProcess::Poisson { rate },
 //!     mix: ModelMix::single(0),
-//! });
+//! };
+//! // The one entry point: a default scenario is a plain run, and the no-op
+//! // recorder compiles the telemetry away.
+//! let report = sim.run_scenario_recorded(&traffic, &Scenario::default(), &mut NoopRecorder)?;
 //! assert!(report.latency.p50_ms <= report.latency.p99_ms);
-//! # Ok::<(), timely_core::EvalError>(())
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -74,7 +79,7 @@ pub mod scheduler;
 pub mod stats;
 pub mod traffic;
 
-pub use engine::{serving_check, serving_check_backend, ModelProfile, ServingSimulator, SimConfig};
+pub use engine::{serving_check, ModelProfile, ServingSimulator, SimConfig};
 pub use error::SimError;
 pub use event::EventQueue;
 pub use faults::{Fault, FaultKind, Scenario, StatsMode};

@@ -123,26 +123,11 @@ impl ModelMix {
 
     /// A mix with explicit positive weights per model index.
     ///
-    /// # Panics
-    ///
-    /// Panics if `entries` is empty or any weight is not strictly positive
-    /// ([`ModelMix::try_weighted`] is the panic-free form).
-    pub fn weighted(entries: Vec<(usize, f64)>) -> Self {
-        match Self::try_weighted(entries) {
-            Ok(mix) => mix,
-            // Documented constructor contract; try_weighted is the
-            // fallible form. lint:allow(panic)
-            Err(err) => panic!("{err}"),
-        }
-    }
-
-    /// [`ModelMix::weighted`] with structural validation.
-    ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidTraffic`] if `entries` is empty or any
     /// weight is not a strictly positive finite number.
-    pub fn try_weighted(entries: Vec<(usize, f64)>) -> Result<Self, SimError> {
+    pub fn weighted(entries: Vec<(usize, f64)>) -> Result<Self, SimError> {
         if entries.is_empty() {
             return Err(SimError::InvalidTraffic(
                 "model mix must not be empty".to_string(),
@@ -386,7 +371,7 @@ mod tests {
 
     #[test]
     fn mix_sampling_respects_weights() {
-        let mix = ModelMix::weighted(vec![(0, 3.0), (2, 1.0)]);
+        let mix = ModelMix::weighted(vec![(0, 3.0), (2, 1.0)]).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
         let mut counts = [0usize; 3];
         for _ in 0..10_000 {
@@ -396,6 +381,8 @@ mod tests {
         let frac = counts[0] as f64 / 10_000.0;
         assert!((frac - 0.75).abs() < 0.03, "fraction {frac}");
         assert_eq!(mix.max_model_index(), 2);
+        assert!(ModelMix::weighted(Vec::new()).is_err());
+        assert!(ModelMix::weighted(vec![(0, 1.0), (1, f64::NAN)]).is_err());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use timely_core::TimelyConfig;
 use timely_nn::zoo;
-use timely_obs::TraceRecorder;
+use timely_obs::{NoopRecorder, TraceRecorder};
 use timely_sim::{
     ArrivalProcess, Fault, ModelMix, Policy, Scenario, ServingSimulator, Sharding, SimConfig,
     StatsMode, TrafficSpec,
@@ -33,7 +33,7 @@ fn traffic(sim: &ServingSimulator, load: f64) -> TrafficSpec {
         process: ArrivalProcess::Poisson {
             rate: load * sim.fleet_capacity_rps(0),
         },
-        mix: ModelMix::weighted(vec![(0, 3.0), (1, 1.0)]),
+        mix: ModelMix::weighted(vec![(0, 3.0), (1, 1.0)]).expect("positive weights"),
     }
 }
 
@@ -54,8 +54,12 @@ fn scenario_runs_are_deterministic() {
     let sim = fleet(3, Policy::ShortestQueue);
     let spec = traffic(&sim, 0.9);
     let scenario = faulty_scenario();
-    let a = sim.run_scenario(&spec, &scenario).expect("valid scenario");
-    let b = sim.run_scenario(&spec, &scenario).expect("valid scenario");
+    let a = sim
+        .run_scenario_recorded(&spec, &scenario, &mut NoopRecorder)
+        .expect("valid scenario");
+    let b = sim
+        .run_scenario_recorded(&spec, &scenario, &mut NoopRecorder)
+        .expect("valid scenario");
     assert_eq!(a, b, "same seed + scenario must be bit-identical");
     assert_eq!(a.outages, 1);
     assert_eq!(a.stragglers, 1);
@@ -66,11 +70,9 @@ fn scenario_runs_are_deterministic() {
 fn a_default_scenario_is_exactly_a_plain_run() {
     let sim = fleet(2, Policy::Fifo);
     let spec = traffic(&sim, 0.7);
-    let plain = sim.run(&spec);
     let scenario = sim
-        .run_scenario(&spec, &Scenario::default())
+        .run_scenario_recorded(&spec, &Scenario::default(), &mut NoopRecorder)
         .expect("default scenario");
-    assert_eq!(plain, scenario);
     assert_eq!(scenario.shed, 0);
     assert_eq!(
         scenario.outages + scenario.stragglers + scenario.recoveries,
@@ -90,13 +92,13 @@ fn a_deep_closed_loop_seeded_at_one_instant_ties_out() {
             clients,
             think_time_s: clients as f64 / (0.8 * sim.fleet_capacity_rps(0)),
         },
-        mix: ModelMix::weighted(vec![(0, 3.0), (1, 1.0)]),
+        mix: ModelMix::weighted(vec![(0, 3.0), (1, 1.0)]).expect("positive weights"),
     };
     let a = sim
-        .run_scenario(&spec, &Scenario::default())
+        .run_scenario_recorded(&spec, &Scenario::default(), &mut NoopRecorder)
         .expect("closed-loop run");
     let b = sim
-        .run_scenario(&spec, &Scenario::default())
+        .run_scenario_recorded(&spec, &Scenario::default(), &mut NoopRecorder)
         .expect("closed-loop run");
     assert_eq!(a, b, "same seed must be bit-identical");
     assert!(a.offered >= clients as u64, "every client issues at t=0");
@@ -145,7 +147,11 @@ fn fault_and_shed_counters_tie_out_against_the_report() {
         .iter()
         .any(|s| s.name == "straggler" && s.track == 1));
     // The recorder must not perturb the run.
-    assert_eq!(report, sim.run_scenario(&spec, &scenario).expect("re-run"));
+    assert_eq!(
+        report,
+        sim.run_scenario_recorded(&spec, &scenario, &mut NoopRecorder)
+            .expect("re-run")
+    );
 }
 
 #[test]
@@ -156,7 +162,9 @@ fn shedding_preserves_request_accounting() {
         admission_cap: Some(2),
         ..Scenario::default()
     };
-    let report = sim.run_scenario(&spec, &scenario).expect("valid scenario");
+    let report = sim
+        .run_scenario_recorded(&spec, &scenario, &mut NoopRecorder)
+        .expect("valid scenario");
     assert!(report.shed > 0);
     assert_eq!(
         report.offered,
@@ -169,12 +177,16 @@ fn shedding_preserves_request_accounting() {
 fn an_outage_window_degrades_tail_latency() {
     let sim = fleet(2, Policy::ShortestQueue);
     let spec = traffic(&sim, 0.8);
-    let baseline = sim.run(&spec);
+    let baseline = sim
+        .run_scenario_recorded(&spec, &Scenario::default(), &mut NoopRecorder)
+        .expect("valid traffic");
     let scenario = Scenario {
         faults: vec![Fault::outage(0, 0.002, 0.012)],
         ..Scenario::default()
     };
-    let faulted = sim.run_scenario(&spec, &scenario).expect("valid scenario");
+    let faulted = sim
+        .run_scenario_recorded(&spec, &scenario, &mut NoopRecorder)
+        .expect("valid scenario");
     assert!(
         faulted.latency.p99_ms >= baseline.latency.p99_ms,
         "losing half the fleet for most of the run cannot improve p99"
@@ -187,15 +199,16 @@ fn streaming_stats_agree_with_exact_within_a_bucket() {
     let sim = fleet(3, Policy::ShortestQueue);
     let spec = traffic(&sim, 0.9);
     let exact = sim
-        .run_scenario(&spec, &Scenario::default())
+        .run_scenario_recorded(&spec, &Scenario::default(), &mut NoopRecorder)
         .expect("exact run");
     let streaming = sim
-        .run_scenario(
+        .run_scenario_recorded(
             &spec,
             &Scenario {
                 stats: StatsMode::Streaming,
                 ..Scenario::default()
             },
+            &mut NoopRecorder,
         )
         .expect("streaming run");
     // Everything outside the latency digests is unchanged.
@@ -253,7 +266,7 @@ fn stale_batch_deadlines_are_no_ops() {
     );
     let spec = traffic(&sim, 3.0);
     let mut a = sim
-        .run_scenario(&spec, &Scenario::default())
+        .run_scenario_recorded(&spec, &Scenario::default(), &mut NoopRecorder)
         .expect("short-window run");
 
     let sim_b = fleet(
@@ -264,7 +277,7 @@ fn stale_batch_deadlines_are_no_ops() {
         },
     );
     let mut b = sim_b
-        .run_scenario(&spec, &Scenario::default())
+        .run_scenario_recorded(&spec, &Scenario::default(), &mut NoopRecorder)
         .expect("long-window run");
     // The time-weighted queue-depth integral is split into different
     // summation chunks by the extra (no-op) deadline events, so it can drift
@@ -285,15 +298,21 @@ fn malformed_scenarios_are_rejected_structurally() {
         faults: vec![Fault::outage(9, 0.0, 0.001)],
         ..Scenario::default()
     };
-    assert!(sim.run_scenario(&spec, &out_of_range).is_err());
+    assert!(sim
+        .run_scenario_recorded(&spec, &out_of_range, &mut NoopRecorder)
+        .is_err());
     let zero_cap = Scenario {
         admission_cap: Some(0),
         ..Scenario::default()
     };
-    assert!(sim.run_scenario(&spec, &zero_cap).is_err());
+    assert!(sim
+        .run_scenario_recorded(&spec, &zero_cap, &mut NoopRecorder)
+        .is_err());
     let bad_mix = TrafficSpec {
         process: ArrivalProcess::Poisson { rate: 1.0 },
-        mix: ModelMix::weighted(vec![(7, 1.0)]),
+        mix: ModelMix::weighted(vec![(7, 1.0)]).expect("positive weight"),
     };
-    assert!(sim.run_scenario(&bad_mix, &Scenario::default()).is_err());
+    assert!(sim
+        .run_scenario_recorded(&bad_mix, &Scenario::default(), &mut NoopRecorder)
+        .is_err());
 }

@@ -3,8 +3,9 @@
 
 use timely_core::TimelyConfig;
 use timely_nn::zoo;
+use timely_obs::NoopRecorder;
 use timely_sim::{
-    ArrivalProcess, ModelMix, Policy, ServingSimulator, Sharding, SimConfig, TrafficSpec,
+    ArrivalProcess, ModelMix, Policy, Scenario, ServingSimulator, Sharding, SimConfig, TrafficSpec,
 };
 
 fn simulator(chips: usize, policy: Policy, duration_s: f64) -> ServingSimulator {
@@ -49,8 +50,11 @@ fn zero_length_batching_window_is_fifo() {
     for load in [0.3, 1.2] {
         let spec = traffic(&fifo, load);
         assert_eq!(
-            fifo.run(&spec),
-            batched.run(&spec),
+            fifo.run_scenario_recorded(&spec, &Scenario::default(), &mut NoopRecorder)
+                .unwrap(),
+            batched
+                .run_scenario_recorded(&spec, &Scenario::default(), &mut NoopRecorder)
+                .unwrap(),
             "window-0 batching diverged from FIFO at load {load}"
         );
     }
@@ -66,8 +70,10 @@ fn shortest_queue_on_one_chip_is_fifo() {
     for load in [0.4, 1.1] {
         let spec = traffic(&fifo, load);
         assert_eq!(
-            fifo.run(&spec),
-            jsq.run(&spec),
+            fifo.run_scenario_recorded(&spec, &Scenario::default(), &mut NoopRecorder)
+                .unwrap(),
+            jsq.run_scenario_recorded(&spec, &Scenario::default(), &mut NoopRecorder)
+                .unwrap(),
             "single-chip shortest-queue diverged from FIFO at load {load}"
         );
     }
@@ -78,10 +84,16 @@ fn empty_trace_terminates_with_empty_stats() {
     // An arrival process whose first event lands beyond the horizon yields a
     // simulation with no work: it must terminate and report all-zero stats.
     let sim = simulator(2, Policy::Fifo, 1e-6);
-    let report = sim.run(&TrafficSpec {
-        process: ArrivalProcess::Poisson { rate: 1e-9 },
-        mix: ModelMix::uniform(2),
-    });
+    let report = sim
+        .run_scenario_recorded(
+            &TrafficSpec {
+                process: ArrivalProcess::Poisson { rate: 1e-9 },
+                mix: ModelMix::uniform(2),
+            },
+            &Scenario::default(),
+            &mut NoopRecorder,
+        )
+        .unwrap();
     assert_eq!(report.offered, 0);
     assert_eq!(report.completed, 0);
     assert_eq!(report.backlog, 0);

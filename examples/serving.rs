@@ -6,7 +6,7 @@
 
 use timely::prelude::*;
 
-fn main() -> Result<(), timely::arch::EvalError> {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let model = timely::nn::zoo::vgg_d();
     let chip_config = TimelyConfig::paper_default();
 
@@ -32,22 +32,30 @@ fn main() -> Result<(), timely::arch::EvalError> {
 
     // Open loop at 70% of the two-chip fleet's capacity.
     let rate = 0.7 * sim.fleet_capacity_rps(0);
-    let report = sim.run(&TrafficSpec {
-        process: ArrivalProcess::Poisson { rate },
-        mix: ModelMix::single(0),
-    });
+    let report = sim.run_scenario_recorded(
+        &TrafficSpec {
+            process: ArrivalProcess::Poisson { rate },
+            mix: ModelMix::single(0),
+        },
+        &Scenario::default(),
+        &mut NoopRecorder,
+    )?;
     println!("\nopen loop at {rate:.0} req/s over 2 chips:");
     print_report(&report);
 
     // Closed loop: enough clients to saturate both chips.
     let clients = 2 * profile.saturating_clients();
-    let report = sim.run(&TrafficSpec {
-        process: ArrivalProcess::ClosedLoop {
-            clients,
-            think_time_s: 0.0,
+    let report = sim.run_scenario_recorded(
+        &TrafficSpec {
+            process: ArrivalProcess::ClosedLoop {
+                clients,
+                think_time_s: 0.0,
+            },
+            mix: ModelMix::single(0),
         },
-        mix: ModelMix::single(0),
-    });
+        &Scenario::default(),
+        &mut NoopRecorder,
+    )?;
     println!("\nclosed loop with {clients} clients (saturation):");
     print_report(&report);
     Ok(())

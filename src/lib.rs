@@ -48,7 +48,7 @@
 //! # Offline builds
 //!
 //! The workspace builds with no network access: every external dependency
-//! (`serde`, `rand`, `proptest`, `criterion`) is an API-compatible stub
+//! (`serde`, `rand`, `proptest`) is an API-compatible stub
 //! vendored under `vendor/` as a path dependency. Do not add crates.io
 //! dependencies; extend the matching stub instead. See the repository
 //! `README.md` for the full build/test/bench instructions.

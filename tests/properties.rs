@@ -7,9 +7,10 @@ use timely::arch::{
     ThroughputReport, TimelyConfig,
 };
 use timely::nn::{ConvSpec, FeatureMap, ModelBuilder};
+use timely::obs::NoopRecorder;
 use timely::sim::{
-    ArrivalProcess, ModelMix, ModelProfile, Policy, ServingSimulator, Sharding, SimConfig,
-    TrafficSpec,
+    ArrivalProcess, ModelMix, ModelProfile, Policy, Scenario, ServingSimulator, Sharding,
+    SimConfig, TrafficSpec,
 };
 
 /// A strategy producing small but valid convolutional models.
@@ -150,8 +151,8 @@ proptest! {
             process: ArrivalProcess::Poisson { rate },
             mix: ModelMix::single(0),
         };
-        let a = sim.run(&traffic);
-        let b = sim.run(&traffic);
+        let a = sim.run_scenario_recorded(&traffic, &Scenario::default(), &mut NoopRecorder).expect("valid traffic");
+        let b = sim.run_scenario_recorded(&traffic, &Scenario::default(), &mut NoopRecorder).expect("valid traffic");
         prop_assert_eq!(a, b);
     }
 
@@ -186,7 +187,7 @@ proptest! {
 
         // Low load: 10% of capacity.
         let rate = 0.1 * analytical.inferences_per_second;
-        let low = build(400.0 / rate).run(&TrafficSpec::poisson(rate, 0));
+        let low = build(400.0 / rate).run_scenario_recorded(&TrafficSpec::poisson(rate, 0), &Scenario::default(), &mut NoopRecorder).expect("valid traffic");
         let analytical_ms = analytical.single_inference_latency.as_seconds() * 1e3;
         let drift = (low.latency.p50_ms - analytical_ms).abs() / analytical_ms;
         prop_assert!(drift < 0.10, "low-load p50 {} vs analytical {analytical_ms}", low.latency.p50_ms);
@@ -201,10 +202,10 @@ proptest! {
 
         // Saturation: enough closed-loop clients to keep the pipeline full.
         let clients = profile.saturating_clients();
-        let sat = build(1_000.0 * profile.initiation_interval_s).run(&TrafficSpec {
+        let sat = build(1_000.0 * profile.initiation_interval_s).run_scenario_recorded(&TrafficSpec {
             process: ArrivalProcess::ClosedLoop { clients, think_time_s: 0.0 },
             mix: ModelMix::single(0),
-        });
+        }, &Scenario::default(), &mut NoopRecorder).expect("valid traffic");
         let sat_drift = (sat.throughput_rps - analytical.inferences_per_second).abs()
             / analytical.inferences_per_second;
         prop_assert!(

@@ -74,7 +74,7 @@ fn struct_variant_enums_round_trip_through_the_serde_stub() {
     ] {
         let traffic = TrafficSpec {
             process,
-            mix: ModelMix::weighted(vec![(0, 2.0), (3, 1.0)]),
+            mix: ModelMix::weighted(vec![(0, 2.0), (3, 1.0)]).expect("positive weights"),
         };
         let text = serde::json::to_string(&traffic);
         let back: TrafficSpec = serde::json::from_str(&text)
