@@ -41,7 +41,7 @@ pub use backend::{
 pub use config::{Features, MappingStrategy, TimelyConfig, TimelyConfigBuilder};
 pub use energy::{DataType, EnergyBreakdown, MemoryLevel};
 pub use error::{ArchError, TimelyError};
-pub use mapping::{LayerCounts, ModelMapping};
+pub use mapping::{LayerCounts, ModelMapping, TotalsFactors};
 pub use pipeline::{LayerPlacement, PeakPerformance, ScheduleSummary, ThroughputReport};
 pub use report::{EvalReport, TimelyAccelerator};
 pub use subchip::SubChipGeometry;

@@ -142,14 +142,13 @@ impl ModelMapping {
         config: &TimelyConfig,
     ) -> Result<Self, ArchError> {
         config.validate()?;
-        let geometry = SubChipGeometry::from_config(config);
         let mut layers = Vec::with_capacity(workload.layers.len());
         let mut totals = LayerCounts {
             name: "total".to_string(),
             ..LayerCounts::default()
         };
         for layer in &workload.layers {
-            let counts = layer_counts(layer, config, &geometry);
+            let counts = layer_counts(layer, config);
             totals.accumulate(&counts);
             layers.push(counts);
         }
@@ -172,9 +171,11 @@ impl ModelMapping {
 
     /// Aggregate event counts of a workload without materializing per-layer
     /// records or their name strings — the counting core behind
-    /// [`Backend::bounds`](crate::Backend::bounds) and the `timely-dse` hot
-    /// path. Field-for-field equal to the `totals` of
-    /// [`ModelMapping::from_workload`] (same accumulation order).
+    /// [`Backend::bounds`](crate::Backend::bounds). Field-for-field equal to
+    /// the `totals` of [`ModelMapping::from_workload`]: it applies the
+    /// configuration once to the workload's [`TotalsFactors`] instead of to
+    /// every layer, which is exact because every count is linear in the
+    /// per-layer sums.
     ///
     /// # Errors
     ///
@@ -184,15 +185,19 @@ impl ModelMapping {
         config: &TimelyConfig,
     ) -> Result<LayerCounts, ArchError> {
         config.validate()?;
-        let geometry = SubChipGeometry::from_config(config);
-        let mut totals = LayerCounts {
+        let (b, cells_per_weight, ..) = TotalsFactors::key(config);
+        let layer_crossbars = workload
+            .layers
+            .iter()
+            .map(|layer| layer.crossbars_required(b, cells_per_weight));
+        Ok(LayerCounts {
             name: "total".to_string(),
-            ..LayerCounts::default()
-        };
-        for layer in &workload.layers {
-            totals.accumulate(&unnamed_layer_counts(layer, config, &geometry));
-        }
-        Ok(totals)
+            ..TotalsFactors::for_workload(workload, config).totals(
+                workload,
+                layer_crossbars,
+                config,
+            )
+        })
     }
 
     /// Looks up the counts of a layer by name.
@@ -201,143 +206,242 @@ impl ModelMapping {
     }
 }
 
-/// Computes the event counts of one weighted layer.
-fn layer_counts(
-    layer: &LayerWorkload,
-    config: &TimelyConfig,
-    geometry: &SubChipGeometry,
-) -> LayerCounts {
-    LayerCounts {
-        name: layer.name.clone(),
-        ..unnamed_layer_counts(layer, config, geometry)
+/// The configuration-independent sums behind a workload's aggregate event
+/// counts, for one `(crossbar_size, cells_per_weight, subchip_rows,
+/// subchip_cols)` tuple ([`TotalsFactors::key`]).
+///
+/// Every count of the counting model is a per-point factor (input time
+/// slices, `N_CB`, the feature toggles) times one of these per-layer sums, so
+/// [`TotalsFactors::totals`] prices a whole workload in constant time. The
+/// one exception is the inter-chip term, which depends on the per-chip
+/// crossbar budget: it walks the layers, and only when the model spans
+/// several chips and is larger than one chip. Design-space sweeps cache one
+/// value per tuple and model and reuse it across every γ, sub-chip count,
+/// chip count, precision and feature set that shares the tuple.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TotalsFactors {
+    /// Σ O2IR input reads × sub-chip row groups × sub-chip column groups.
+    o2ir_reads: u64,
+    /// Σ conventional input reads × row groups × column groups.
+    conventional_reads: u64,
+    /// Σ outputs × crossbar row segments.
+    output_row_segments: u64,
+    /// Σ outputs × sub-chip row groups.
+    output_row_groups: u64,
+    /// Σ outputs × (sub-chip row groups − 1): the analog-spill groups.
+    output_spill_groups: u64,
+    /// Σ outputs.
+    outputs: u64,
+    /// Σ crossbars needed to hold the weights once.
+    crossbars: u64,
+}
+
+impl TotalsFactors {
+    /// The configuration fields the factors depend on: `(crossbar_size,
+    /// cells_per_weight, subchip_rows, subchip_cols)`. Two configurations
+    /// with equal keys share their factors.
+    pub fn key(config: &TimelyConfig) -> (usize, usize, usize, usize) {
+        (
+            config.crossbar_size,
+            config.cells_per_weight(),
+            config.subchip_rows,
+            config.subchip_cols,
+        )
+    }
+
+    /// Sums the factors of every layer of a workload. Reads only the
+    /// [`TotalsFactors::key`] fields of a validated configuration.
+    pub fn for_workload(workload: &ModelWorkload, config: &TimelyConfig) -> Self {
+        let mut sum = Self::default();
+        for layer in &workload.layers {
+            let f = Self::for_layer(layer, config);
+            sum.o2ir_reads += f.o2ir_reads;
+            sum.conventional_reads += f.conventional_reads;
+            sum.output_row_segments += f.output_row_segments;
+            sum.output_row_groups += f.output_row_groups;
+            sum.output_spill_groups += f.output_spill_groups;
+            sum.outputs += f.outputs;
+            sum.crossbars += f.crossbars;
+        }
+        sum
+    }
+
+    /// The factors of one weighted layer.
+    fn for_layer(layer: &LayerWorkload, config: &TimelyConfig) -> Self {
+        let (b, cells_per_weight, subchip_rows, subchip_cols) = Self::key(config);
+        let outputs = layer.unique_outputs();
+        let filter_len = layer.filter_len() as u64;
+        // How many crossbar row segments one dot product spans, and how many
+        // sub-chip row groups (each sub-chip stacks `subchip_rows` crossbars).
+        let row_segments = filter_len.div_ceil(b as u64);
+        let row_groups = filter_len.div_ceil((subchip_rows * b) as u64);
+        // How many sub-chip column groups the layer's filters occupy.
+        let effective_cols = (layer.out_channels() * cells_per_weight) as u64;
+        let col_groups = effective_cols.div_ceil((subchip_cols * b) as u64);
+        // Inputs must reach every sub-chip row/column group holding part of
+        // the layer.
+        let groups = row_groups * col_groups;
+        Self {
+            o2ir_reads: layer.o2ir_input_reads() * groups,
+            conventional_reads: layer.conventional_input_reads(b) * groups,
+            output_row_segments: outputs * row_segments,
+            output_row_groups: outputs * row_groups,
+            output_spill_groups: outputs * (row_groups - 1),
+            outputs,
+            crossbars: layer.crossbars_required(b, cells_per_weight),
+        }
+    }
+
+    /// The aggregate event counts of the workload these factors were built
+    /// from, on `config` (whose [`TotalsFactors::key`] must match). The
+    /// name is left empty, so this path never touches the allocator.
+    ///
+    /// `layer_crossbars` yields each layer's crossbar count in execution
+    /// order (e.g. a cached [`LayerPlacement::crossbars`]); it is read only
+    /// when the inter-chip term can be non-zero.
+    ///
+    /// [`LayerPlacement::crossbars`]: crate::LayerPlacement::crossbars
+    // lint:hot per-point totals: constant work unless the model spans chips
+    pub fn totals(
+        &self,
+        workload: &ModelWorkload,
+        layer_crossbars: impl IntoIterator<Item = u64>,
+        config: &TimelyConfig,
+    ) -> LayerCounts {
+        // A layer can only overflow one chip if the whole model does.
+        let hyperlink_transfers =
+            if config.chips > 1 && self.crossbars > SubChipGeometry::crossbars_per_chip(config) {
+                let mut sum = 0;
+                for (layer, crossbars) in workload.layers.iter().zip(layer_crossbars) {
+                    sum += hyperlink_transfers(layer.unique_outputs(), crossbars, config);
+                }
+                sum
+            } else {
+                0
+            };
+        self.counts(config, hyperlink_transfers)
+    }
+
+    /// The counting model proper: scales the sums by the per-point factors.
+    /// Shared by the per-layer ([`ModelMapping::from_workload`]) and the
+    /// aggregate ([`TotalsFactors::totals`]) paths.
+    fn counts(&self, config: &TimelyConfig, hyperlink_transfers: u64) -> LayerCounts {
+        let input_slices = config.input_slices() as u64;
+        // Every analog event repeats per sub-ranged weight column and per
+        // input time slice.
+        let per_output = config.cells_per_weight() as u64 * input_slices;
+        let n_cb = config.subchip_cols as u64; // horizontal input-sharing dimension
+        let features = config.features;
+
+        // --- L1 input reads -------------------------------------------------
+        let base_reads = match features.mapping_strategy() {
+            MappingStrategy::OnlyOnceInputRead => self.o2ir_reads,
+            MappingStrategy::Conventional => self.conventional_reads,
+        };
+        // With ALBs one fetch feeds a whole sub-chip row (N_CB crossbars);
+        // without ALBs every crossbar column re-fetches from L1 (the N_CB×
+        // factor of Innovation #1).
+        let alb_factor = if features.analog_local_buffers {
+            1
+        } else {
+            n_cb
+        };
+        let l1_input_reads = base_reads * alb_factor;
+
+        // --- Analog compute events ------------------------------------------
+        // One column activation per output element, per B-row segment of its
+        // dot product, per sub-ranged weight column, per input time slice.
+        let crossbar_column_activations = self.output_row_segments * per_output;
+        // One aggregated Psum per output element per sub-chip row group (the
+        // I-adder merges the vertical stack of crossbars inside one sub-chip).
+        let aggregated_psums = self.output_row_groups * per_output;
+
+        // --- Interfaces ------------------------------------------------------
+        let (dtc_conversions, tdc_conversions, dac_conversions, adc_conversions) =
+            if features.time_domain_interfaces {
+                // One DTC conversion per fetched input time slice; one TDC
+                // conversion per aggregated sub-chip column output.
+                (l1_input_reads * input_slices, aggregated_psums, 0, 0)
+            } else {
+                // Existing designs: one DAC conversion per crossbar-row drive
+                // and one ADC conversion per crossbar-column activation.
+                (
+                    0,
+                    0,
+                    l1_input_reads * input_slices,
+                    crossbar_column_activations,
+                )
+            };
+
+        // --- Analog local buffers --------------------------------------------
+        let (x_subbuf_accesses, p_subbuf_accesses, i_adder_ops, charging_ops) =
+            if features.analog_local_buffers {
+                (
+                    // Each fetched input is latched through the X-subBufs of
+                    // its sub-chip row (one per crossbar column it reaches).
+                    l1_input_reads * input_slices * n_cb,
+                    // Each crossbar column activation forwards its current
+                    // through one P-subBuf on its way to the I-adder.
+                    crossbar_column_activations,
+                    aggregated_psums,
+                    aggregated_psums,
+                )
+            } else {
+                (0, 0, 0, 0)
+            };
+
+        // --- Partial-sum spills and outputs ----------------------------------
+        // Psums that cannot be accumulated in the analog domain (the dot
+        // product spans multiple sub-chip row groups) spill to the output
+        // buffer and are re-read for digital accumulation. Without ALBs,
+        // *every* crossbar column's Psum spills (existing designs write
+        // per-crossbar Psums back).
+        let spills = if features.analog_local_buffers {
+            self.output_spill_groups * per_output
+        } else {
+            crossbar_column_activations
+        };
+
+        LayerCounts {
+            name: String::new(),
+            crossbars: self.crossbars,
+            l1_input_reads,
+            l1_output_writes: self.outputs,
+            l1_psum_writes: spills,
+            l1_psum_reads: spills,
+            dtc_conversions,
+            tdc_conversions,
+            dac_conversions,
+            adc_conversions,
+            x_subbuf_accesses,
+            p_subbuf_accesses,
+            crossbar_column_activations,
+            i_adder_ops,
+            charging_ops,
+            hyperlink_transfers,
+        }
     }
 }
 
-/// The counting model proper, shared by the per-layer and totals-only paths;
-/// leaves the name empty so the totals path never touches the allocator for
-/// layer names.
-fn unnamed_layer_counts(
-    layer: &LayerWorkload,
-    config: &TimelyConfig,
-    geometry: &SubChipGeometry,
-) -> LayerCounts {
-    let b = config.crossbar_size;
-    let cells_per_weight = config.cells_per_weight() as u64;
-    let input_slices = config.input_slices() as u64;
-    let n_cb = config.subchip_cols as u64; // horizontal input-sharing dimension
-    let features = config.features;
-
-    let outputs = layer.unique_outputs();
-    let filter_len = layer.filter_len() as u64;
-    // How many crossbar row segments one dot product spans, and how many
-    // sub-chip row groups (each sub-chip stacks `subchip_rows` crossbars).
-    let row_segments = filter_len.div_ceil(b as u64);
-    let subchip_row_groups = filter_len.div_ceil(geometry.input_rows as u64);
-    // How many sub-chip column groups the layer's filters occupy.
-    let effective_cols = layer.out_channels() as u64 * cells_per_weight;
-    let subchip_col_groups = effective_cols.div_ceil(geometry.output_columns as u64);
-
-    // --- L1 input reads -----------------------------------------------------
-    let base_reads = match features.mapping_strategy() {
-        MappingStrategy::OnlyOnceInputRead => layer.o2ir_input_reads(),
-        MappingStrategy::Conventional => layer.conventional_input_reads(b),
-    };
-    // Inputs must reach every sub-chip row/column group holding part of the
-    // layer. With ALBs one fetch feeds a whole sub-chip row (N_CB crossbars);
-    // without ALBs every crossbar column re-fetches from L1 (the N_CB× factor
-    // of Innovation #1).
-    let alb_factor = if features.analog_local_buffers {
-        1
-    } else {
-        n_cb
-    };
-    let l1_input_reads = base_reads * subchip_row_groups * subchip_col_groups * alb_factor;
-
-    // --- Analog compute events ----------------------------------------------
-    // One column activation per output element, per B-row segment of its dot
-    // product, per sub-ranged weight column, per input time slice.
-    let crossbar_column_activations = outputs * row_segments * cells_per_weight * input_slices;
-    // One aggregated Psum per output element per sub-chip row group (the
-    // I-adder merges the vertical stack of crossbars inside one sub-chip).
-    let aggregated_psums = outputs * subchip_row_groups * cells_per_weight * input_slices;
-
-    // --- Interfaces ----------------------------------------------------------
-    let (dtc_conversions, tdc_conversions, dac_conversions, adc_conversions) =
-        if features.time_domain_interfaces {
-            // One DTC conversion per fetched input time slice; one TDC
-            // conversion per aggregated sub-chip column output.
-            (l1_input_reads * input_slices, aggregated_psums, 0, 0)
-        } else {
-            // Existing designs: one DAC conversion per crossbar-row drive and
-            // one ADC conversion per crossbar-column activation.
-            (
-                0,
-                0,
-                l1_input_reads * input_slices * if features.analog_local_buffers { 1 } else { 1 },
-                crossbar_column_activations,
-            )
-        };
-
-    // --- Analog local buffers ------------------------------------------------
-    let (x_subbuf_accesses, p_subbuf_accesses, i_adder_ops, charging_ops) =
-        if features.analog_local_buffers {
-            (
-                // Each fetched input is latched through the X-subBufs of its
-                // sub-chip row (one per crossbar column it reaches).
-                l1_input_reads * input_slices * n_cb,
-                // Each crossbar column activation forwards its current through
-                // one P-subBuf on its way to the I-adder.
-                crossbar_column_activations,
-                aggregated_psums,
-                aggregated_psums,
-            )
-        } else {
-            (0, 0, 0, 0)
-        };
-
-    // --- Partial-sum spills and outputs --------------------------------------
-    // Psums that cannot be accumulated in the analog domain (the dot product
-    // spans multiple sub-chip row groups) spill to the output buffer and are
-    // re-read for digital accumulation. Without ALBs, *every* crossbar
-    // column's Psum spills (existing designs write per-crossbar Psums back).
-    let (l1_psum_writes, l1_psum_reads) = if features.analog_local_buffers {
-        let spills = outputs * (subchip_row_groups - 1) * cells_per_weight * input_slices;
-        (spills, spills)
-    } else {
-        let spills = crossbar_column_activations;
-        (spills, spills)
-    };
-    let l1_output_writes = outputs;
-
-    // --- Inter-chip traffic ---------------------------------------------------
-    // Outputs only travel over the HyperTransport links when the model spans
-    // multiple chips; intra-chip layer-to-layer traffic stays in the L1
-    // buffers (the paper's "L3 is negligible" observation).
-    let crossbars = layer.crossbars_required(b, cells_per_weight as usize);
-    let crossbars_per_chip = SubChipGeometry::crossbars_per_chip(config);
-    let hyperlink_transfers = if config.chips > 1 && crossbars > crossbars_per_chip {
+/// Inter-chip link transfers of one layer. Outputs only travel over the
+/// HyperTransport links when the model spans multiple chips and the layer's
+/// weights alone overflow one chip; intra-chip layer-to-layer traffic stays
+/// in the L1 buffers (the paper's "L3 is negligible" observation).
+fn hyperlink_transfers(outputs: u64, crossbars: u64, config: &TimelyConfig) -> u64 {
+    if config.chips > 1 && crossbars > SubChipGeometry::crossbars_per_chip(config) {
         outputs
     } else {
         0
-    };
+    }
+}
 
+/// Computes the event counts of one weighted layer.
+fn layer_counts(layer: &LayerWorkload, config: &TimelyConfig) -> LayerCounts {
+    let factors = TotalsFactors::for_layer(layer, config);
+    let hyperlink = hyperlink_transfers(factors.outputs, factors.crossbars, config);
     LayerCounts {
-        name: String::new(),
-        crossbars,
-        l1_input_reads,
-        l1_output_writes,
-        l1_psum_writes,
-        l1_psum_reads,
-        dtc_conversions,
-        tdc_conversions,
-        dac_conversions,
-        adc_conversions,
-        x_subbuf_accesses,
-        p_subbuf_accesses,
-        crossbar_column_activations,
-        i_adder_ops,
-        charging_ops,
-        hyperlink_transfers,
+        name: layer.name.clone(),
+        ..factors.counts(config, hyperlink)
     }
 }
 
@@ -493,6 +597,87 @@ mod tests {
                 assert_eq!(totals, mapping.totals);
             }
         }
+    }
+
+    #[test]
+    fn factored_totals_equal_the_per_layer_totals_on_a_config_grid() {
+        let workloads: Vec<ModelWorkload> = zoo::all_models()
+            .iter()
+            .map(|model| ModelWorkload::try_analyze(model).unwrap())
+            .collect();
+        let feature_sets = [
+            Features::all(),
+            Features {
+                o2ir_mapping: false,
+                ..Features::all()
+            },
+            Features {
+                time_domain_interfaces: false,
+                ..Features::all()
+            },
+            Features::none(),
+        ];
+        let geometries = [(16, 12), (12, 16), (8, 12), (16, 16), (8, 8)];
+        // One sub-chip per chip makes large layers overflow a chip, which
+        // exercises the hyperlink term when the model spans chips.
+        let fleets = [(1, 1), (1, 4), (106, 1), (106, 4)];
+        let mut configs = Vec::new();
+        for crossbar_size in [64, 256] {
+            for features in feature_sets {
+                for (cell_bits, bits) in [1, 2, 4]
+                    .into_iter()
+                    .flat_map(|c| [(c, 4), (c, 8), (c, 16)])
+                {
+                    for ((subchip_rows, subchip_cols), (subchips_per_chip, chips)) in
+                        geometries.into_iter().flat_map(|g| fleets.map(|f| (g, f)))
+                    {
+                        configs.push(TimelyConfig {
+                            crossbar_size,
+                            cell_bits,
+                            weight_bits: bits,
+                            activation_bits: bits,
+                            subchip_rows,
+                            subchip_cols,
+                            subchips_per_chip,
+                            chips,
+                            features,
+                            ..o2ir_config()
+                        });
+                    }
+                }
+            }
+        }
+        assert_eq!(configs.len(), 2 * 4 * 3 * 3 * 5 * 4);
+        let mut hyperlink_cases = 0;
+        for cfg in &configs {
+            cfg.validate().unwrap();
+            for workload in &workloads {
+                let expected = ModelMapping::from_workload(workload, cfg).unwrap().totals;
+                let placement = crate::LayerPlacement::for_workload(
+                    workload,
+                    cfg.crossbar_size,
+                    cfg.cells_per_weight(),
+                );
+                let factored = TotalsFactors::for_workload(workload, cfg).totals(
+                    workload,
+                    placement.crossbars().iter().copied(),
+                    cfg,
+                );
+                assert_eq!(
+                    LayerCounts {
+                        name: expected.name.clone(),
+                        ..factored
+                    },
+                    expected,
+                    "{} on {cfg:?}",
+                    workload.model_name
+                );
+                if expected.hyperlink_transfers > 0 {
+                    hyperlink_cases += 1;
+                }
+            }
+        }
+        assert!(hyperlink_cases > 0, "no case exercised the hyperlink term");
     }
 
     #[test]

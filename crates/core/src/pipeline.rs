@@ -191,6 +191,17 @@ pub struct ScheduleSummary {
 }
 
 impl ScheduleSummary {
+    /// Everything [`ScheduleSummary::for_placement`] reads from the
+    /// configuration besides the placement: the crossbar budget of all chips
+    /// and the input time slices. Equal placements with equal keys have
+    /// equal summaries, which is what memoizing sweeps key on.
+    pub fn config_key(config: &TimelyConfig) -> (u64, u64) {
+        (
+            SubChipGeometry::crossbars_per_chip(config) * config.chips as u64,
+            config.input_slices() as u64,
+        )
+    }
+
     /// Computes the schedule aggregate from a cached placement.
     ///
     /// # Errors
@@ -201,7 +212,7 @@ impl ScheduleSummary {
         placement: &LayerPlacement,
         config: &TimelyConfig,
     ) -> Result<Self, ArchError> {
-        let available = SubChipGeometry::crossbars_per_chip(config) * config.chips as u64;
+        let (available, input_slices) = Self::config_key(config);
         let required = placement.required_crossbars();
         if required > available {
             return Err(ArchError::ModelTooLarge {
@@ -209,7 +220,6 @@ impl ScheduleSummary {
                 available_crossbars: available,
             });
         }
-        let input_slices = config.input_slices() as u64;
         let scale = duplication_scale(available, placement.weighted_positions(input_slices));
         let mut used = 0u64;
         let mut max_cycles = 1u64;
@@ -326,7 +336,7 @@ impl ThroughputReport {
         config: &TimelyConfig,
     ) -> Result<Self, ArchError> {
         debug_assert_eq!(placement.len(), workload.layers.len());
-        let available = SubChipGeometry::crossbars_per_chip(config) * config.chips as u64;
+        let (available, input_slices) = ScheduleSummary::config_key(config);
         let required = placement.required_crossbars();
         if required > available {
             return Err(ArchError::ModelTooLarge {
@@ -337,7 +347,6 @@ impl ThroughputReport {
 
         // Balanced duplication: d_l proportional to positions_l, scaled so the
         // duplicated mapping fits in the crossbar budget.
-        let input_slices = config.input_slices() as u64;
         let scale = duplication_scale(available, placement.weighted_positions(input_slices));
         let mut layers = Vec::with_capacity(placement.len());
         let mut used = 0u64;

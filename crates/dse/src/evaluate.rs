@@ -13,6 +13,15 @@
 //! 3. **Serving check** (optional): a seeded `timely-sim` run measures the
 //!    p99 latency of the workload mix at a given fraction of fleet capacity.
 //!
+//! Step 2 and the screening bounds ([`Evaluator::screen_bounds`]) share one
+//! allocation-free core that reuses three config-dependent layers across
+//! candidates: per-`(crossbar_size, cells_per_weight)` layer placements,
+//! per-[`TotalsFactors::key`] layer sums (so a workload's energy counts cost
+//! a few multiplies, not a walk over its layers), and a one-entry memo of
+//! the last candidate's schedule summaries (reused by feature-axis and γ
+//! neighbours). All three are exact, so screening bounds equal evaluated
+//! objectives bit for bit.
+//!
 //! Every outcome is memoized in a cache keyed on the *backend-qualified*
 //! configuration hash ([`Backend::cache_key`]: the backend id tag folded
 //! with [`TimelyConfig::stable_hash`]), so search strategies that revisit
@@ -34,7 +43,7 @@ use timely_core::accuracy::AccuracyStudy;
 use timely_core::backend::fold_cache_key;
 use timely_core::{
     ArchError, AreaBreakdown, Backend, BackendId, EnergyBreakdown, EnergyByCategory, EvalError,
-    LayerPlacement, ModelMapping, ScheduleSummary, TimelyConfig,
+    LayerPlacement, ScheduleSummary, TimelyConfig, TotalsFactors,
 };
 use timely_nn::workload::ModelWorkload;
 use timely_nn::Model;
@@ -300,7 +309,57 @@ pub struct Evaluator {
     /// model: the config-dependent-but-shareable half of the schedule, reused
     /// across every candidate (and hill-climb neighbor) with the same pair.
     placements: BTreeMap<(usize, usize), Vec<LayerPlacement>>,
+    /// Per-[`TotalsFactors::key`] layer sums, one per model, built lazily:
+    /// the config-independent half of the energy counts, reused across every
+    /// γ, sub-chip count, chip count, precision and feature set sharing the
+    /// `(crossbar_size, cells_per_weight, subchip_rows, subchip_cols)` tuple.
+    factors: BTreeMap<(usize, usize, usize, usize), Vec<TotalsFactors>>,
+    /// The schedule summaries of the last scheduled candidate, one per
+    /// model, reused while the next candidate agrees on every field the
+    /// schedule reads (feature-axis neighbours, γ and feature hill-climb
+    /// steps).
+    summaries: SummaryMemo,
     stats: EvalStats,
+}
+
+/// The configuration fields [`ScheduleSummary::for_placement`] reads:
+/// `(crossbar_size, cells_per_weight)` through the placement, then
+/// [`ScheduleSummary::config_key`] (the crossbar budget `crossbars_per_chip
+/// × chips` and the input time slices).
+type SummaryKey = ((usize, usize), (u64, u64));
+
+/// A one-entry memo of the per-model [`ScheduleSummary`] results.
+#[derive(Debug, Clone, Default)]
+struct SummaryMemo {
+    /// The key the stored results were computed for; `None` before the first
+    /// candidate.
+    key: Option<SummaryKey>,
+    /// One result per workload model, in workload order.
+    results: Vec<Result<ScheduleSummary, ArchError>>,
+}
+
+/// The `(crossbar_size, cells_per_weight)` pair a [`LayerPlacement`]
+/// depends on.
+fn placement_key(config: &TimelyConfig) -> (usize, usize) {
+    (config.crossbar_size, config.cells_per_weight())
+}
+
+impl SummaryMemo {
+    fn key(config: &TimelyConfig) -> SummaryKey {
+        (placement_key(config), ScheduleSummary::config_key(config))
+    }
+
+    /// The stored result of the model at `index`, as a workload failure
+    /// when the model does not fit.
+    fn summary(&self, index: usize) -> Result<ScheduleSummary, WorkloadFailure> {
+        self.results[index]
+            .as_ref()
+            .copied()
+            .map_err(|err| WorkloadFailure::Arch {
+                model: index,
+                err: err.clone(),
+            })
+    }
 }
 
 impl Evaluator {
@@ -323,6 +382,8 @@ impl Evaluator {
             cache: BTreeMap::new(),
             reference_cache: BTreeMap::new(),
             placements: BTreeMap::new(),
+            factors: BTreeMap::new(),
+            summaries: SummaryMemo::default(),
             stats: EvalStats::default(),
         }
     }
@@ -439,23 +500,63 @@ impl Evaluator {
         }
     }
 
+    /// Ensures the layer sums for one [`TotalsFactors::key`] exist, building
+    /// them once from the cached workload analyses.
+    fn ensure_factors(&mut self, config: &TimelyConfig) {
+        let key = TotalsFactors::key(config);
+        if !self.factors.contains_key(&key) {
+            let rows = self
+                .analyzed
+                .iter()
+                .map(|analysis| match analysis {
+                    Ok(workload) => TotalsFactors::for_workload(workload, config),
+                    // Never read, as for the placements.
+                    Err(_) => TotalsFactors::default(),
+                })
+                .collect();
+            self.factors.insert(key, rows);
+        }
+    }
+
+    /// Ensures the summary memo holds this candidate's schedule summaries,
+    /// recomputing them only when a field the schedule reads has changed.
+    // lint:hot per-point schedule summaries: runs once per memo miss
+    fn ensure_summaries(&mut self, config: &TimelyConfig) {
+        let key = SummaryMemo::key(config);
+        if self.summaries.key == Some(key) {
+            return;
+        }
+        self.summaries.results.clear();
+        for placement in &self.placements[&key.0] {
+            self.summaries
+                .results
+                .push(ScheduleSummary::for_placement(placement, config));
+        }
+        self.summaries.key = Some(key);
+    }
+
     /// The exact workload numbers of one candidate, computed allocation-free
-    /// from the cached analyses and placements. This is the shared core of
-    /// [`Evaluator::evaluate`] and [`Evaluator::screen_bounds`]: both paths
-    /// run the same float operations in the same order, so a screened bound
-    /// is bit-identical to the objectives a full evaluation would produce.
+    /// from the cached analyses, placements, layer sums and schedule
+    /// summaries. This is the shared core of [`Evaluator::evaluate`] and
+    /// [`Evaluator::screen_bounds`]: both paths run the same float
+    /// operations in the same order, so a screened bound is bit-identical to
+    /// the objectives a full evaluation would produce.
     ///
     /// The arithmetic mirrors the [`Backend::evaluate`] trait path step for
     /// step (schedule summary for latency; totals × per-op energies grouped
     /// via [`EnergyByCategory::from_breakdown`] for energy), which the
     /// incremental-equivalence property test pins bitwise.
+    // lint:hot per-point totals and energy over the workload models
     fn workload_objectives(
         &mut self,
         config: &TimelyConfig,
     ) -> Result<WorkloadNumbers, WorkloadFailure> {
-        let key = (config.crossbar_size, config.cells_per_weight());
-        self.ensure_placements(key);
-        let placements = &self.placements[&key];
+        let placement_key = placement_key(config);
+        self.ensure_placements(placement_key);
+        self.ensure_factors(config);
+        self.ensure_summaries(config);
+        let placements = &self.placements[&placement_key];
+        let factors = &self.factors[&TotalsFactors::key(config)];
         let mut energy_mj = 0.0;
         let mut latency_ms = 0.0;
         let mut min_latency_ms = f64::INFINITY;
@@ -463,10 +564,12 @@ impl Evaluator {
             let workload = analysis
                 .as_ref()
                 .map_err(|_| WorkloadFailure::Analysis(index))?;
-            let summary = ScheduleSummary::for_placement(&placements[index], config)
-                .map_err(|err| WorkloadFailure::Arch { model: index, err })?;
-            let totals = ModelMapping::workload_totals(workload, config)
-                .map_err(|err| WorkloadFailure::Arch { model: index, err })?;
+            let summary = self.summaries.summary(index)?;
+            let totals = factors[index].totals(
+                workload,
+                placements[index].crossbars().iter().copied(),
+                config,
+            );
             let energy = EnergyByCategory::from_breakdown(&EnergyBreakdown::for_counts(
                 &totals,
                 workload.relu_elements,

@@ -15,7 +15,9 @@
 //! `PROPTEST_CASES`.
 
 use proptest::prelude::*;
-use timely_core::{Backend, TimelyAccelerator, TimelyConfig};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use timely_core::{Backend, ScheduleSummary, TimelyAccelerator, TimelyConfig};
 use timely_dse::{
     dominates, BoundCheck, Constraints, Evaluator, Explorer, SearchSpace, ServingCheck, Strategy,
 };
@@ -138,6 +140,78 @@ proptest! {
             );
             prop_assert_eq!(report.objectives.latency_ms.to_bits(), latency_ms.to_bits());
         }
+    }
+}
+
+/// The fields the schedule summary reads (placement pair, crossbar budget,
+/// input time slices): consecutive candidates that agree on them share the
+/// evaluator's memoized summaries.
+fn schedule_fields(config: &TimelyConfig) -> (usize, usize, (u64, u64)) {
+    (
+        config.crossbar_size,
+        config.cells_per_weight(),
+        ScheduleSummary::config_key(config),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// One long-lived evaluator fed a seeded random walk over the
+    /// production space screens and evaluates every point bitwise like a
+    /// fresh evaluator does. The walk mixes random jumps with single-axis
+    /// moves, so the memoized schedule summaries are both reused (γ and
+    /// feature-set moves) and replaced (every other axis), and layer sums
+    /// are built lazily along the way.
+    #[test]
+    fn memoized_evaluation_matches_a_fresh_evaluator(seed in 0u64..u64::MAX) {
+        let space = SearchSpace::production_space();
+        let sizes = space.axis_sizes();
+        let pristine = Evaluator::new(zoo::dse_benchmarks());
+        let mut long_lived = pristine.clone();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut coords = space.coords_at(rng.gen_range(0..space.len()));
+        let mut previous = None;
+        let (mut reuses, mut replacements) = (0, 0);
+        for _ in 0..24 {
+            let config = space.decode(&coords);
+            let fields = schedule_fields(&config);
+            match previous {
+                Some(p) if p == fields => reuses += 1,
+                Some(_) => replacements += 1,
+                None => {}
+            }
+            previous = Some(fields);
+
+            let (mut memo_bounds, mut fresh_bounds) = (Vec::new(), Vec::new());
+            let memo_check = long_lived.screen_bounds(&config, &mut memo_bounds);
+            let fresh_check = pristine.clone().screen_bounds(&config, &mut fresh_bounds);
+            prop_assert_eq!(memo_check, fresh_check);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&memo_bounds), bits(&fresh_bounds));
+
+            let memo_outcome = long_lived.evaluate(&config);
+            let fresh_outcome = pristine.clone().evaluate(&config);
+            prop_assert_eq!(
+                serde::json::to_string(&memo_outcome),
+                serde::json::to_string(&fresh_outcome)
+            );
+            prop_assert_eq!(
+                memo_outcome.report().map(|r| bits(&r.objectives.vector(false))),
+                fresh_outcome.report().map(|r| bits(&r.objectives.vector(false)))
+            );
+
+            if rng.gen_range(0..4) == 0 {
+                coords = space.coords_at(rng.gen_range(0..space.len()));
+            } else {
+                let axis = rng.gen_range(0..timely_dse::AXES);
+                coords[axis] = rng.gen_range(0..sizes[axis]);
+            }
+        }
+        prop_assert!(
+            reuses > 0 && replacements > 0,
+            "{reuses} reuses, {replacements} replacements"
+        );
     }
 }
 
