@@ -22,6 +22,11 @@
 //! neighbours). All three are exact, so screening bounds equal evaluated
 //! objectives bit for bit.
 //!
+//! Step 3 reuses simulation results the same way: a serving check's p99
+//! depends only on the fleet size and each model's per-chip initiation
+//! interval and latency, so candidates that differ only on axes the
+//! schedule never reads (the feature set, for one) share one simulation run.
+//!
 //! Every outcome is memoized in a cache keyed on the *backend-qualified*
 //! configuration hash ([`Backend::cache_key`]: the backend id tag folded
 //! with [`TimelyConfig::stable_hash`]), so search strategies that revisit
@@ -48,6 +53,8 @@ use timely_core::{
 use timely_nn::workload::ModelWorkload;
 use timely_nn::Model;
 use timely_sim::serving_check;
+#[cfg(debug_assertions)]
+use timely_sim::ModelProfile;
 
 /// The objective vector of one design point. Lower is better on every axis.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -231,6 +238,13 @@ pub struct EvalStats {
     /// Points that failed workload evaluation or a post-evaluation
     /// constraint.
     pub infeasible: usize,
+    /// Serving simulations run: one per distinct simulator input, plus one
+    /// per point with a model too large for one chip (those never reuse).
+    pub serving_runs: usize,
+    /// Fresh points whose serving check was answered from an earlier run
+    /// with identical simulator inputs. Not a memo-cache hit: the point
+    /// itself was still evaluated.
+    pub serving_reuses: usize,
 }
 
 impl EvalStats {
@@ -319,8 +333,18 @@ pub struct Evaluator {
     /// schedule reads (feature-axis neighbours, γ and feature hill-climb
     /// steps).
     summaries: SummaryMemo,
+    /// Serving-check results by simulator input: the p99 in ms, or the
+    /// infeasible reason. One entry per distinct [`ServingKey`].
+    serving_memo: BTreeMap<ServingKey, Result<f64, String>>,
     stats: EvalStats,
 }
+
+/// Everything a serving check's p99 and completion count depend on, given
+/// the evaluator's fixed load, request count and seed: the fleet size and,
+/// per workload model, the bits of the per-chip initiation interval and
+/// single-inference latency in seconds. (A profile's energy only feeds the
+/// simulator's energy accounting.)
+type ServingKey = (usize, Vec<(u64, u64)>);
 
 /// The configuration fields [`ScheduleSummary::for_placement`] reads:
 /// `(crossbar_size, cells_per_weight)` through the placement, then
@@ -384,6 +408,7 @@ impl Evaluator {
             placements: BTreeMap::new(),
             factors: BTreeMap::new(),
             summaries: SummaryMemo::default(),
+            serving_memo: BTreeMap::new(),
             stats: EvalStats::default(),
         }
     }
@@ -679,6 +704,72 @@ impl Evaluator {
         BoundCheck::Bounds
     }
 
+    /// The serving memo key of a candidate whose workload objectives were
+    /// just computed, from per-chip schedule summaries: the summary memo's
+    /// when it holds the per-chip configuration (`chips == 1`), fresh ones
+    /// from the cached placements otherwise. `None` when a model does not
+    /// fit on one chip (or its placement is missing), so the caller runs the
+    /// check directly and keeps its error text.
+    fn serving_key(&self, config: &TimelyConfig) -> Option<ServingKey> {
+        let per_chip = TimelyConfig {
+            chips: 1,
+            ..config.clone()
+        };
+        let fresh;
+        let summaries = if self.summaries.key == Some(SummaryMemo::key(&per_chip)) {
+            &self.summaries.results
+        } else {
+            fresh = self
+                .placements
+                .get(&placement_key(config))?
+                .iter()
+                .map(|placement| ScheduleSummary::for_placement(placement, &per_chip))
+                .collect::<Vec<_>>();
+            &fresh
+        };
+        let profiles = summaries
+            .iter()
+            .map(|summary| {
+                let summary = summary.as_ref().ok()?;
+                Some((
+                    summary
+                        .initiation_interval(&per_chip)
+                        .as_seconds()
+                        .to_bits(),
+                    summary
+                        .single_inference_latency(&per_chip)
+                        .as_seconds()
+                        .to_bits(),
+                ))
+            })
+            .collect::<Option<Vec<_>>>()?;
+        Some((config.chips, profiles))
+    }
+
+    /// The serving check's p99 in ms for a candidate, or its infeasible
+    /// reason. The simulation runs once per distinct [`ServingKey`]; later
+    /// candidates with the same key reuse the stored result.
+    fn serving_p99(&mut self, config: &TimelyConfig, check: ServingCheck) -> Result<f64, String> {
+        let Some(key) = self.serving_key(config) else {
+            self.stats.serving_runs += 1;
+            return run_serving_check(&self.workloads, config, check);
+        };
+        if let Some(stored) = self.serving_memo.get(&key) {
+            self.stats.serving_reuses += 1;
+            return stored.clone();
+        }
+        #[cfg(debug_assertions)]
+        for (model, &bits) in self.workloads.iter().zip(&key.1) {
+            let profile = ModelProfile::for_model(model, config)
+                .map(|p| (p.initiation_interval_s.to_bits(), p.latency_s.to_bits()));
+            debug_assert_eq!(profile, Ok(bits), "serving key of {}", model.name());
+        }
+        self.stats.serving_runs += 1;
+        let result = run_serving_check(&self.workloads, config, check);
+        self.serving_memo.insert(key, result.clone());
+        result
+    }
+
     fn evaluate_fresh(&mut self, config: &TimelyConfig, config_hash: u64) -> PointOutcome {
         // Pre-screen 1: structural validity (divide-by-zero guards etc.).
         if let Err(err) = config.validate() {
@@ -733,28 +824,10 @@ impl Evaluator {
         // of `config.chips` single-chip instances of this configuration.
         let p99_ms = match self.serving {
             None => 0.0,
-            Some(check) => {
-                let report = match serving_check(
-                    &self.workloads,
-                    config,
-                    check.load,
-                    check.requests,
-                    check.seed,
-                ) {
-                    Ok(report) => report,
-                    Err(err) => {
-                        return PointOutcome::Infeasible {
-                            reason: format!("serving check: {err}"),
-                        }
-                    }
-                };
-                if report.completed == 0 {
-                    return PointOutcome::Infeasible {
-                        reason: "serving check completed no requests".to_string(),
-                    };
-                }
-                report.latency.p99_ms
-            }
+            Some(check) => match self.serving_p99(config, check) {
+                Ok(p99_ms) => p99_ms,
+                Err(reason) => return PointOutcome::Infeasible { reason },
+            },
         };
 
         PointOutcome::Feasible(PointReport {
@@ -769,6 +842,21 @@ impl Evaluator {
             },
         })
     }
+}
+
+/// Runs one serving check and reduces it to the p99 in ms, or the
+/// infeasible reason (a rejected check, or a run that completed nothing).
+fn run_serving_check(
+    models: &[Model],
+    config: &TimelyConfig,
+    check: ServingCheck,
+) -> Result<f64, String> {
+    let report = serving_check(models, config, check.load, check.requests, check.seed)
+        .map_err(|err| format!("serving check: {err}"))?;
+    if report.completed == 0 {
+        return Err("serving check completed no requests".to_string());
+    }
+    Ok(report.latency.p99_ms)
 }
 
 #[cfg(test)]

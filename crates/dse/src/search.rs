@@ -339,6 +339,8 @@ impl Explorer {
         recorder.counter_add("dse.eval.cache_misses", stats.cache_misses() as u64);
         recorder.counter_add("dse.eval.pruned", stats.pruned as u64);
         recorder.counter_add("dse.eval.infeasible", stats.infeasible as u64);
+        recorder.counter_add("dse.eval.serving_runs", stats.serving_runs as u64);
+        recorder.counter_add("dse.eval.serving_reuses", stats.serving_reuses as u64);
     }
 
     /// Builds the final report over everything evaluated so far.
@@ -799,6 +801,31 @@ mod tests {
             seed: 5,
         });
         assert_eq!(plain.report(), report);
+    }
+
+    #[test]
+    fn serving_reuse_is_counted_apart_from_cache_hits() {
+        let evaluator =
+            Evaluator::new(vec![zoo::cnn_1()]).with_serving(crate::ServingCheck::default());
+        let mut ex = Explorer::new(small_space(), evaluator);
+        ex.run(&Strategy::Grid {
+            max_points: usize::MAX,
+        });
+        let mut recorder = timely_obs::TraceRecorder::new();
+        ex.record_stats(&mut recorder);
+        let metrics = recorder.metrics();
+        let stats = ex.eval_stats();
+        // 12 points but only 3 distinct per-chip service times, one per γ:
+        // the feature set is energy-only, and CNN-1 already runs at full
+        // duplication (one cycle per layer) on 53 sub-chips, so 106 leaves
+        // its schedule unchanged.
+        assert_eq!(stats.evaluations, 12);
+        assert_eq!((stats.serving_runs, stats.serving_reuses), (3, 9));
+        assert_eq!(metrics.counter("dse.eval.serving_runs"), 3);
+        assert_eq!(metrics.counter("dse.eval.serving_reuses"), 9);
+        // A reused serving check is still a fresh point, not a cache hit.
+        assert_eq!(stats.cache_hits, 0);
+        assert_eq!(stats.lookups(), 12);
     }
 
     #[test]

@@ -10,6 +10,9 @@
 //!   an evaluator with warm placement caches is bit-identical (via the
 //!   canonical serde encoding) to a from-scratch evaluation, which itself
 //!   matches the `Backend::evaluate` trait path bitwise.
+//! * **Serving reuse is invisible** — a p99 answered from an earlier
+//!   simulation run with the same inputs equals a direct `serving_check` of
+//!   the point bit for bit, and a failed check keeps its error text.
 //!
 //! Case counts are capped for the single-CPU CI container; override with
 //! `PROPTEST_CASES`.
@@ -19,9 +22,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use timely_core::{Backend, ScheduleSummary, TimelyAccelerator, TimelyConfig};
 use timely_dse::{
-    dominates, BoundCheck, Constraints, Evaluator, Explorer, SearchSpace, ServingCheck, Strategy,
+    dominates, BoundCheck, Constraints, EvalStats, Evaluator, Explorer, PointOutcome, SearchSpace,
+    ServingCheck, Strategy,
 };
 use timely_nn::{zoo, Model};
+use timely_sim::serving_check;
 
 /// The constraints of the production study (area cap, accuracy floor).
 fn study_constraints(max_latency_ms: Option<f64>) -> Constraints {
@@ -213,6 +218,142 @@ proptest! {
             "{reuses} reuses, {replacements} replacements"
         );
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// One long-lived serving evaluator fed a seeded walk over the paper
+    /// neighborhood (chips widened to {1, 2}) returns every outcome exactly
+    /// as a fresh evaluator does. Every other step flips the feature set, an
+    /// axis the schedule never reads, so the walk both reuses stored
+    /// simulation results and runs fresh ones.
+    #[test]
+    fn memoized_serving_matches_a_fresh_evaluator(seed in 0u64..u64::MAX) {
+        let space = SearchSpace {
+            chips: vec![1, 2],
+            ..SearchSpace::paper_neighborhood()
+        };
+        let sizes = space.axis_sizes();
+        let features = timely_dse::AXES - 1;
+        let pristine =
+            Evaluator::new(zoo::dse_benchmarks()).with_serving(ServingCheck::default());
+        let mut long_lived = pristine.clone();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut coords = space.coords_at(rng.gen_range(0..space.len()));
+        for step in 0..16 {
+            let config = space.decode(&coords);
+            let memo_outcome = long_lived.evaluate(&config);
+            let fresh_outcome = pristine.clone().evaluate(&config);
+            prop_assert_eq!(
+                serde::json::to_string(&memo_outcome),
+                serde::json::to_string(&fresh_outcome)
+            );
+
+            if step % 2 == 0 {
+                coords[features] = (coords[features] + 1) % sizes[features];
+            } else if rng.gen_range(0..4) == 0 {
+                coords = space.coords_at(rng.gen_range(0..space.len()));
+            } else {
+                let axis = rng.gen_range(0..timely_dse::AXES);
+                coords[axis] = rng.gen_range(0..sizes[axis]);
+            }
+        }
+        let stats = long_lived.stats();
+        prop_assert!(
+            stats.serving_runs > 0 && stats.serving_reuses > 0,
+            "{} runs, {} reuses",
+            stats.serving_runs,
+            stats.serving_reuses
+        );
+    }
+}
+
+/// Evaluates every point of `space` in grid order through one serving
+/// evaluator and checks each serving result against a direct
+/// `serving_check` of the same configuration: a feasible point's p99 is
+/// bitwise equal, and a failed check keeps its error text. Returns the
+/// evaluator's counters and the serving-check failure reasons.
+fn check_serving_against_direct_runs(
+    space: &SearchSpace,
+    models: Vec<Model>,
+) -> (EvalStats, Vec<String>) {
+    let check = ServingCheck::default();
+    let mut eval = Evaluator::new(models.clone()).with_serving(check);
+    let direct = |config: &TimelyConfig| {
+        serving_check(&models, config, check.load, check.requests, check.seed)
+    };
+    let mut failures = Vec::new();
+    for index in 0..space.len() {
+        let config = space.config_at(index);
+        match eval.evaluate(&config) {
+            PointOutcome::Feasible(report) => {
+                let p99_ms = direct(&config)
+                    .expect("a feasible point's serving check succeeds")
+                    .latency
+                    .p99_ms;
+                assert_eq!(
+                    report.objectives.p99_ms.to_bits(),
+                    p99_ms.to_bits(),
+                    "point {index}: memoized p99 {} vs direct {p99_ms}",
+                    report.objectives.p99_ms
+                );
+            }
+            PointOutcome::Infeasible { reason } if reason.starts_with("serving check") => {
+                let err = direct(&config).expect_err("the direct check fails too");
+                assert_eq!(reason, format!("serving check: {err}"), "point {index}");
+                failures.push(reason);
+            }
+            PointOutcome::Infeasible { .. } | PointOutcome::Pruned { .. } => {}
+        }
+    }
+    (eval.stats(), failures)
+}
+
+/// Over the paper neighborhood (one chip), nearly every serving check is
+/// answered from an earlier run, and every p99 still equals a direct run.
+#[test]
+fn serving_p99_matches_a_direct_run_across_the_paper_neighborhood() {
+    let (stats, failures) = check_serving_against_direct_runs(
+        &SearchSpace::paper_neighborhood(),
+        zoo::dse_benchmarks(),
+    );
+    assert!(failures.is_empty(), "{failures:?}");
+    assert!(stats.evaluations > 0);
+    assert!(
+        stats.serving_reuses > stats.serving_runs,
+        "{} runs, {} reuses",
+        stats.serving_runs,
+        stats.serving_reuses
+    );
+}
+
+/// With chips in {1, 2, 4}, the memo key comes from per-chip schedule
+/// summaries. VGG-D on 13 sub-chips fits a two- or four-chip fleet but not
+/// one chip: the evaluator bypasses the memo for those points and reports
+/// the direct check's error text.
+#[test]
+fn serving_p99_matches_a_direct_run_across_fleet_sizes() {
+    let space = SearchSpace {
+        subchips_per_chip: vec![13, 53],
+        chips: vec![1, 2, 4],
+        feature_sets: vec![timely_core::Features::all(), timely_core::Features::none()],
+        ..SearchSpace::paper_point()
+    };
+    let (stats, failures) =
+        check_serving_against_direct_runs(&space, vec![zoo::cnn_1(), zoo::vgg_d()]);
+    // 13 sub-chips x {2, 4} chips x 2 feature sets.
+    assert_eq!(failures.len(), 4, "{failures:?}");
+    for reason in &failures {
+        assert_eq!(
+            reason,
+            "serving check: TIMELY cannot evaluate this model: \
+             model needs 4230 crossbars but only 2496 are available"
+        );
+    }
+    // One run per fleet size on 53 sub-chips, reused by the other feature
+    // set, plus the four direct runs that reject VGG-D.
+    assert_eq!((stats.serving_runs, stats.serving_reuses), (7, 3));
 }
 
 /// With the serving axis enabled, the p99 bound (the smallest single-model

@@ -28,7 +28,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use timely_core::{Backend, EvalError, TimelyAccelerator, TimelyConfig};
+use timely_core::{Backend, BackendId, EvalError, TimelyAccelerator, TimelyConfig};
 use timely_nn::Model;
 use timely_obs::{Histogram, NoopRecorder, Recorder};
 
@@ -213,7 +213,8 @@ impl ServingSimulator {
     /// # Errors
     ///
     /// Propagates profiling errors for any model that cannot be scheduled on
-    /// a single chip.
+    /// a single chip, and returns [`EvalError::Unsupported`] for an empty
+    /// fleet or model list or a horizon that is not positive and finite.
     pub fn new(
         models: &[Model],
         chip_config: &TimelyConfig,
@@ -230,7 +231,8 @@ impl ServingSimulator {
     /// # Errors
     ///
     /// Propagates evaluation errors for any model the backend does not
-    /// support.
+    /// support, and returns [`EvalError::Unsupported`] for zero chips, an
+    /// empty model list, or a horizon that is not positive and finite.
     pub fn for_backend(
         models: &[Model],
         backend: &dyn Backend,
@@ -240,10 +242,7 @@ impl ServingSimulator {
             .iter()
             .map(|m| ModelProfile::for_backend(m, backend))
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self::from_chip_profiles(
-            vec![profiles; config.chips],
-            config,
-        ))
+        Self::from_chip_profiles(vec![profiles; config.chips], config, backend.id())
     }
 
     /// Builds a heterogeneous fleet: chip `c` is one instance of
@@ -253,7 +252,8 @@ impl ServingSimulator {
     /// # Errors
     ///
     /// Propagates evaluation errors: every chip's backend must support every
-    /// model in the fleet's zoo.
+    /// model in the fleet's zoo. Returns [`EvalError::Unsupported`] for an
+    /// empty model list or a horizon that is not positive and finite.
     ///
     /// # Panics
     ///
@@ -273,18 +273,30 @@ impl ServingSimulator {
                     .collect::<Result<Vec<_>, _>>()
             })
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self::from_chip_profiles(chip_profiles, config))
+        Self::from_chip_profiles(chip_profiles, config, backends[0].id())
     }
 
-    fn from_chip_profiles(chip_profiles: Vec<Vec<ModelProfile>>, mut config: SimConfig) -> Self {
-        assert!(
-            !chip_profiles.is_empty() && !chip_profiles[0].is_empty(),
-            "simulator needs at least one chip and one model"
-        );
-        assert!(
-            config.duration_s > 0.0 && config.duration_s.is_finite(),
-            "duration must be > 0"
-        );
+    /// Builds the simulator from its profile matrix, rejecting an empty
+    /// fleet, an empty zoo, or a degenerate horizon as unsupported by
+    /// `backend` (the fleet's first chip).
+    fn from_chip_profiles(
+        chip_profiles: Vec<Vec<ModelProfile>>,
+        mut config: SimConfig,
+        backend: BackendId,
+    ) -> Result<Self, EvalError> {
+        let unsupported = |reason: String| EvalError::Unsupported { backend, reason };
+        if chip_profiles.is_empty() {
+            return Err(unsupported("simulator needs at least one chip".into()));
+        }
+        if chip_profiles[0].is_empty() {
+            return Err(unsupported("simulator needs at least one model".into()));
+        }
+        if !(config.duration_s > 0.0 && config.duration_s.is_finite()) {
+            return Err(unsupported(format!(
+                "simulated duration must be positive and finite, got {} s",
+                config.duration_s
+            )));
+        }
         // Policy parameters are validated at run time (`Policy::check` in
         // `run_scenario_recorded`), where the error has a `Result` channel.
         // The profile matrix is the single source of truth for the fleet
@@ -293,11 +305,11 @@ impl ServingSimulator {
         config.chips = chip_profiles.len();
         let layout =
             FleetLayout::build(chip_profiles[0].len(), chip_profiles.len(), config.sharding);
-        Self {
+        Ok(Self {
             chip_profiles,
             layout,
             config,
-        }
+        })
     }
 
     /// The per-model serving profiles of the fleet's first chip, in model
@@ -946,9 +958,11 @@ fn event_key(event: &Event) -> &'static str {
 ///
 /// The fleet's mix capacity is conservatively taken as the slowest model's
 /// per-chip rate times the chip count, so `load < 1` keeps every model's
-/// share below saturation. Runs are fully deterministic in `seed`, which is
-/// what lets the explorer memo-cache serving objectives by configuration
-/// hash.
+/// share below saturation. Runs are fully deterministic in `seed`, and the
+/// report's latencies and completion count depend on the configuration only
+/// through the fleet size and each model's per-chip initiation interval and
+/// latency. That is what lets the explorer reuse one run for every design
+/// point with the same fleet size and per-chip service times.
 ///
 /// # Errors
 ///
@@ -1439,6 +1453,46 @@ mod tests {
                 matches!(result, Err(EvalError::Unsupported { .. })),
                 "{label}: {result:?}"
             );
+        }
+    }
+
+    #[test]
+    fn simulator_constructors_reject_hostile_inputs_without_unwinding() {
+        let cfg = TimelyConfig::paper_default();
+        let models = [zoo::cnn_1()];
+        let sim_config = |chips: usize, duration_s: f64| SimConfig {
+            chips,
+            duration_s,
+            ..SimConfig::default()
+        };
+        let cases: [(&str, &[Model], SimConfig); 5] = [
+            ("zero chips", &models, sim_config(0, 1.0)),
+            ("no models", &[], sim_config(1, 1.0)),
+            ("NaN duration", &models, sim_config(1, f64::NAN)),
+            ("zero duration", &models, sim_config(1, 0.0)),
+            ("infinite duration", &models, sim_config(1, f64::INFINITY)),
+        ];
+        let backend = TimelyAccelerator::new(cfg.clone());
+        for (label, models, config) in cases {
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                [
+                    ServingSimulator::new(models, &cfg, config),
+                    ServingSimulator::for_backend(models, &backend, config),
+                ]
+            }));
+            let results = outcome.unwrap_or_else(|_| panic!("{label}: a constructor unwound"));
+            for result in results {
+                assert!(
+                    matches!(
+                        result,
+                        Err(EvalError::Unsupported {
+                            backend: BackendId::Timely,
+                            ..
+                        })
+                    ),
+                    "{label}: {result:?}"
+                );
+            }
         }
     }
 
