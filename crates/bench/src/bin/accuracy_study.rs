@@ -1,6 +1,11 @@
 //! The accuracy study of §VI-B: inference accuracy loss under the analog
 //! noise of TIMELY's circuits (paper: ≤0.1 % with 12 cascaded X-subBufs whose
 //! accumulated error stays inside the DTC design margin).
+//!
+//! Run with `cargo run --release -p timely-bench --bin accuracy_study`; pass
+//! `--smoke` for a fast CI-sized run (5 samples per model instead of 100).
+//! Everything is seeded, so repeated runs print byte-identical output
+//! (pinned by a golden-file test).
 
 use timely_bench::table::{format_percent, Table};
 use timely_core::accuracy::AccuracyStudy;
@@ -8,9 +13,10 @@ use timely_core::TimelyConfig;
 use timely_nn::zoo;
 
 fn main() {
+    let smoke = std::env::args().skip(1).any(|a| a == "--smoke");
     let config = TimelyConfig::paper_default();
     let mut study = AccuracyStudy::from_config(&config);
-    study.samples = 100;
+    study.samples = if smoke { 5 } else { 100 };
 
     let mut table = Table::new(
         "Accuracy study - design point (paper: sqrt(12)*eps within the 40 ps margin, <=0.1% accuracy loss)",

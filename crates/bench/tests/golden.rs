@@ -187,3 +187,22 @@ fn golden_dse_study_smoke() {
     // ...and they match the pinned snapshot (no third run needed).
     check_golden_output("dse_study_smoke.txt", &first);
 }
+
+#[test]
+fn golden_accuracy_study_smoke() {
+    if capped() {
+        eprintln!("GOLDEN_RUNS=0: skipping accuracy_study determinism + golden check");
+        return;
+    }
+    // The quantized, noisy forward passes are seeded end to end: two runs
+    // are byte-identical and match the pinned snapshot.
+    let exe = env!("CARGO_BIN_EXE_accuracy_study");
+    let first = run(exe, &["--smoke"]);
+    let second = run(exe, &["--smoke"]);
+    assert!(
+        first == second,
+        "accuracy_study --smoke is not deterministic; {}",
+        first_diff(&first, &second)
+    );
+    check_golden_output("accuracy_study_smoke.txt", &first);
+}

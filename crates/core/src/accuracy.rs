@@ -75,7 +75,8 @@ impl AccuracyStudy {
     ///
     /// # Errors
     ///
-    /// Propagates forward-pass errors (which cannot occur for zoo models).
+    /// Propagates forward-pass errors as [`ArchError::Workload`]; for zoo
+    /// models the only one is a weight or activation width outside `1..=31`.
     pub fn run(&self, model: &Model, config: &TimelyConfig) -> Result<AccuracyReport, ArchError> {
         let infer_config = InferenceConfig {
             activation_bits: config.activation_bits,
@@ -97,7 +98,7 @@ impl AccuracyStudy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use timely_nn::zoo;
+    use timely_nn::{zoo, NnError};
 
     #[test]
     fn paper_design_point_is_within_the_margin() {
@@ -134,6 +135,26 @@ mod tests {
             report.accuracy_loss() <= 0.2,
             "accuracy loss {}",
             report.accuracy_loss()
+        );
+    }
+
+    #[test]
+    fn unsupported_bit_widths_return_an_error_instead_of_unwinding() {
+        // A 32-bit config passes `validate()`, but the quantizer only covers
+        // 1..=31 bits: the study must report that, not unwind.
+        let mut config = TimelyConfig::paper_default();
+        config.weight_bits = 32;
+        config.activation_bits = 32;
+        assert!(config.validate().is_ok());
+        let mut study = AccuracyStudy::from_config(&config);
+        study.samples = 1;
+        let result = std::panic::catch_unwind(|| study.run(&zoo::cnn_1(), &config))
+            .expect("AccuracyStudy::run must not unwind on a 32-bit config");
+        assert_eq!(
+            result,
+            Err(ArchError::Workload(NnError::UnsupportedBitWidth {
+                bits: 32
+            }))
         );
     }
 

@@ -38,6 +38,11 @@ pub enum NnError {
     },
     /// The model contains no layers.
     EmptyModel,
+    /// A quantization bit width outside the supported `1..=31` range.
+    UnsupportedBitWidth {
+        /// The rejected bit width.
+        bits: u8,
+    },
 }
 
 impl fmt::Display for NnError {
@@ -59,6 +64,9 @@ impl fmt::Display for NnError {
             }
             NnError::TensorShape { reason } => write!(f, "tensor shape error: {reason}"),
             NnError::EmptyModel => write!(f, "model contains no layers"),
+            NnError::UnsupportedBitWidth { bits } => {
+                write!(f, "unsupported quantization bit width {bits} (must be 1..=31)")
+            }
         }
     }
 }
@@ -88,6 +96,7 @@ mod tests {
                 reason: "length 3 vs 4".into(),
             },
             NnError::EmptyModel,
+            NnError::UnsupportedBitWidth { bits: 32 },
         ];
         for e in errors {
             let text = e.to_string();

@@ -8,13 +8,34 @@
 //! additive Gaussian noise whose standard deviation is expressed as a fraction
 //! of the quantization step, mirroring how the paper relates the accumulated
 //! X-subBuf error (√12·ε) to the DTC design margin.
+//!
+//! # Where quantization happens
+//!
+//! Each conv/FC layer call derives its activation quantizer from the input's
+//! largest magnitude and its weight quantizer from the layer's (or branch's)
+//! largest weight. It then quantizes every activation once, into an `f64`
+//! buffer; a convolution's buffer is zero padded, so no tap needs a bounds
+//! test. Weights are quantized one filter or four FC rows at a time into a
+//! small reused scratch. The engine stores only the raw `f32` weights, so
+//! building it costs one pass over the generated weights and nothing more.
+//!
+//! # Draw order
+//!
+//! Outputs are bit-identical to a per-MAC loop that quantizes both operands
+//! at every multiply (pinned by `tests/kernel_digest.rs`). Per output, in
+//! output order, that loop draws one input noise sample per tap, padded taps
+//! included, then one psum sample, and sums the taps in filter order into one
+//! `f64` accumulator. The kernels keep that order. Without input noise they
+//! compute four outputs at once, each in its own accumulator, and make the
+//! four psum draws in output order afterwards. Noise terms keep their
+//! association: `g·σ·step` for an input, `g·σ·lsb·√fan_in` for a psum.
 
 use crate::error::NnError;
 use crate::layer::{ConvSpec, Layer, LayerKind, PoolKind};
 use crate::model::Model;
 use crate::quant::QuantParams;
 use crate::shape::FeatureMap;
-use crate::tensor::Tensor;
+use crate::tensor::{max_abs, Tensor};
 use rand::distributions::Distribution;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -102,12 +123,6 @@ impl InferenceConfig {
     /// Returns a copy with the given noise model.
     pub fn with_noise(mut self, noise: NoiseModel) -> Self {
         self.noise = noise;
-        self
-    }
-
-    /// Returns a copy with the given seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
         self
     }
 }
@@ -200,7 +215,9 @@ impl InferenceEngine {
     /// # Errors
     ///
     /// Returns [`NnError::ShapeMismatch`] if `input`'s shape differs from the
-    /// model's declared input shape, or propagates tensor-shape errors.
+    /// model's declared input shape, [`NnError::UnsupportedBitWidth`] if the
+    /// model has a conv or FC layer and a bit width is outside `1..=31`, or
+    /// propagates tensor-shape errors.
     pub fn forward(&self, input: &Tensor) -> Result<Tensor, NnError> {
         self.forward_with_seed(input, self.config.seed ^ NOISE_SEED_TWEAK)
     }
@@ -255,12 +272,14 @@ impl InferenceEngine {
     ) -> Result<Tensor, NnError> {
         let output_shape = layer.output_shape(input.shape())?;
         match &layer.kind {
-            LayerKind::Conv(spec) => Ok(self.conv_forward(spec, weights, input, output_shape, rng)),
-            LayerKind::Fc(_) => Ok(self.fc_forward(weights, input, output_shape, rng)),
+            LayerKind::Conv(spec) => self.conv_forward(spec, weights, input, output_shape, rng),
+            LayerKind::Fc(_) => self.fc_forward(weights, input, output_shape, rng),
             LayerKind::Branch(branches) => {
+                // Channels are the outermost CHW axis, so each branch's output
+                // is one contiguous block of the concatenated output.
                 let mut output = Tensor::zeros(output_shape);
                 let mut weight_offset = 0;
-                let mut channel_offset = 0;
+                let mut data_offset = 0;
                 for spec in branches {
                     let branch_shape =
                         FeatureMap::new(spec.out_channels, output_shape.height, output_shape.width);
@@ -271,16 +290,12 @@ impl InferenceEngine {
                         input,
                         branch_shape,
                         rng,
-                    );
-                    for c in 0..spec.out_channels {
-                        for y in 0..output_shape.height {
-                            for x in 0..output_shape.width {
-                                output.set(channel_offset + c, y, x, branch_out.get(c, y, x));
-                            }
-                        }
-                    }
+                    )?;
+                    let len = branch_out.data().len();
+                    output.data_mut()[data_offset..data_offset + len]
+                        .copy_from_slice(branch_out.data());
                     weight_offset += count;
-                    channel_offset += spec.out_channels;
+                    data_offset += len;
                 }
                 Ok(output)
             }
@@ -340,6 +355,19 @@ impl InferenceEngine {
         }
     }
 
+    /// The layer call's activation and weight quantizers, from the input's
+    /// and the weights' largest magnitudes.
+    fn layer_quant(
+        &self,
+        input: &Tensor,
+        weights: &[f32],
+    ) -> Result<(QuantParams, QuantParams), NnError> {
+        let act_q = QuantParams::from_max_abs(self.config.activation_bits, input.max_abs())?;
+        let w_q = QuantParams::from_max_abs(self.config.weight_bits, max_abs(weights))?;
+        Ok((act_q, w_q))
+    }
+
+    // lint:hot one call per conv layer (or branch) per forward pass
     fn conv_forward(
         &self,
         spec: &ConvSpec,
@@ -347,85 +375,181 @@ impl InferenceEngine {
         input: &Tensor,
         output_shape: FeatureMap,
         rng: &mut StdRng,
-    ) -> Tensor {
-        let act_q = QuantParams::from_max_abs(self.config.activation_bits, input.max_abs());
-        let w_max = weights.iter().fold(0.0_f32, |acc, w| acc.max(w.abs()));
-        let w_q = QuantParams::from_max_abs(self.config.weight_bits, w_max);
+    ) -> Result<Tensor, NnError> {
+        let (act_q, w_q) = self.layer_quant(input, weights)?;
         let filter_len = spec.unrolled_filter_len();
-        let mut output = Tensor::zeros(output_shape);
-        let noise = self.config.noise;
+        let noise = LayerNoise::new(self.config.noise, act_q, w_q, filter_len);
+        let in_shape = input.shape();
+        let pad = spec.padding;
+        let plane_w = in_shape.width + 2 * pad;
+        let plane_len = (in_shape.height + 2 * pad) * plane_w;
+        // The quantized input, padded with the quantized zero, so that no
+        // tap needs a bounds test.
+        let mut plane = vec![f64::from(act_q.fake_quantize(0.0)); in_shape.channels * plane_len];
+        let rows = input.data().chunks_exact(in_shape.width.max(1));
+        for (row, src) in rows.enumerate() {
+            let (c, y) = (row / in_shape.height, row % in_shape.height);
+            let start = c * plane_len + (y + pad) * plane_w + pad;
+            act_q.fake_quantize_into(src, &mut plane[start..start + src.len()]);
+        }
+        // Plane offset of every tap from a window's origin, in filter order.
         let channels_per_group = spec.in_channels / spec.groups;
-        let filters_per_group = spec.out_channels / spec.groups;
-        for d in 0..spec.out_channels {
-            let group = d / filters_per_group;
-            let w_row = &weights[d * filter_len..(d + 1) * filter_len];
-            for oy in 0..output_shape.height {
-                for ox in 0..output_shape.width {
-                    let mut acc = 0.0_f64;
-                    let mut w_idx = 0;
-                    for c_local in 0..channels_per_group {
-                        let c = group * channels_per_group + c_local;
-                        for ky in 0..spec.kernel_h {
-                            for kx in 0..spec.kernel_w {
-                                let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
-                                let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
-                                let mut a = act_q.fake_quantize(input.get_padded(c, iy, ix)) as f64;
-                                if noise.input_sigma_lsb > 0.0 {
-                                    a += sample_gaussian(rng)
-                                        * noise.input_sigma_lsb
-                                        * act_q.step() as f64;
-                                }
-                                let w = w_q.fake_quantize(w_row[w_idx]) as f64;
-                                acc += a * w;
-                                w_idx += 1;
-                            }
-                        }
-                    }
-                    if noise.psum_sigma_lsb > 0.0 {
-                        let lsb = (act_q.step() * w_q.step()) as f64;
-                        acc += sample_gaussian(rng)
-                            * noise.psum_sigma_lsb
-                            * lsb
-                            * (filter_len as f64).sqrt();
-                    }
-                    output.set(d, oy, ox, acc as f32);
+        let mut taps = Vec::with_capacity(filter_len);
+        for c_local in 0..channels_per_group {
+            for ky in 0..spec.kernel_h {
+                for kx in 0..spec.kernel_w {
+                    taps.push(c_local * plane_len + ky * plane_w + kx);
                 }
             }
         }
-        output
+        let filters_per_group = spec.out_channels / spec.groups;
+        let stride = spec.stride;
+        let mut filter = vec![0.0_f64; filter_len];
+        let mut output = Tensor::zeros(output_shape);
+        let out_plane_len = output_shape.height * output_shape.width;
+        for (d, out_plane) in output
+            .data_mut()
+            .chunks_exact_mut(out_plane_len)
+            .enumerate()
+        {
+            w_q.fake_quantize_into(&weights[d * filter_len..(d + 1) * filter_len], &mut filter);
+            let group_origin = d / filters_per_group * channels_per_group * plane_len;
+            for (oy, out_row) in out_plane.chunks_exact_mut(output_shape.width).enumerate() {
+                let mut origin = group_origin + oy * stride * plane_w;
+                let mut singles = out_row;
+                if !noise.draws_input() {
+                    // No per-tap draws: four neighbouring outputs share each
+                    // weight load, each summing into its own accumulator in
+                    // tap order.
+                    let mut quads = singles.chunks_exact_mut(4);
+                    for quad in quads.by_ref() {
+                        let mut acc = [0.0_f64; 4];
+                        for (&tap, &w) in taps.iter().zip(&filter) {
+                            let at = origin + tap;
+                            acc[0] += plane[at] * w;
+                            acc[1] += plane[at + stride] * w;
+                            acc[2] += plane[at + 2 * stride] * w;
+                            acc[3] += plane[at + 3 * stride] * w;
+                        }
+                        for (out, acc) in quad.iter_mut().zip(acc) {
+                            *out = noise.output(acc, rng);
+                        }
+                        origin += 4 * stride;
+                    }
+                    singles = quads.into_remainder();
+                }
+                for out in singles {
+                    let mut acc = 0.0_f64;
+                    for (&tap, &w) in taps.iter().zip(&filter) {
+                        acc += noise.input(plane[origin + tap], rng) * w;
+                    }
+                    *out = noise.output(acc, rng);
+                    origin += stride;
+                }
+            }
+        }
+        Ok(output)
     }
 
+    // lint:hot one call per FC layer per forward pass
     fn fc_forward(
         &self,
         weights: &[f32],
         input: &Tensor,
         output_shape: FeatureMap,
         rng: &mut StdRng,
-    ) -> Tensor {
-        let act_q = QuantParams::from_max_abs(self.config.activation_bits, input.max_abs());
-        let w_max = weights.iter().fold(0.0_f32, |acc, w| acc.max(w.abs()));
-        let w_q = QuantParams::from_max_abs(self.config.weight_bits, w_max);
-        let in_features = input.shape().elements();
+    ) -> Result<Tensor, NnError> {
+        let (act_q, w_q) = self.layer_quant(input, weights)?;
+        let in_features = input.data().len();
+        let noise = LayerNoise::new(self.config.noise, act_q, w_q, in_features);
+        let mut x = vec![0.0_f64; in_features];
+        act_q.fake_quantize_into(input.data(), &mut x);
+        let mut rows = vec![0.0_f64; 4 * in_features];
         let mut output = Tensor::zeros(output_shape);
-        let noise = self.config.noise;
-        for (o, out_slot) in output.data_mut().iter_mut().enumerate() {
-            let row = &weights[o * in_features..(o + 1) * in_features];
-            let mut acc = 0.0_f64;
-            for (i, &x) in input.data().iter().enumerate() {
-                let mut a = act_q.fake_quantize(x) as f64;
-                if noise.input_sigma_lsb > 0.0 {
-                    a += sample_gaussian(rng) * noise.input_sigma_lsb * act_q.step() as f64;
+        let blocks = output
+            .data_mut()
+            .chunks_mut(4)
+            .zip(weights.chunks(4 * in_features));
+        for (outs, w_block) in blocks {
+            let rows = &mut rows[..w_block.len()];
+            w_q.fake_quantize_into(w_block, rows);
+            if outs.len() == 4 && !noise.draws_input() {
+                // Four rows share each input load, each summing into its own
+                // accumulator in input order.
+                let (r01, r23) = rows.split_at(2 * in_features);
+                let (r0, r1) = r01.split_at(in_features);
+                let (r2, r3) = r23.split_at(in_features);
+                let mut acc = [0.0_f64; 4];
+                let lanes = x.iter().zip(r0).zip(r1).zip(r2).zip(r3);
+                for ((((&a, &w0), &w1), &w2), &w3) in lanes {
+                    acc[0] += a * w0;
+                    acc[1] += a * w1;
+                    acc[2] += a * w2;
+                    acc[3] += a * w3;
                 }
-                acc += a * w_q.fake_quantize(row[i]) as f64;
+                for (out, acc) in outs.iter_mut().zip(acc) {
+                    *out = noise.output(acc, rng);
+                }
+                continue;
             }
-            if noise.psum_sigma_lsb > 0.0 {
-                let lsb = (act_q.step() * w_q.step()) as f64;
-                acc +=
-                    sample_gaussian(rng) * noise.psum_sigma_lsb * lsb * (in_features as f64).sqrt();
+            for (out, row) in outs.iter_mut().zip(rows.chunks_exact(in_features)) {
+                let mut acc = 0.0_f64;
+                for (&a, &w) in x.iter().zip(row) {
+                    acc += noise.input(a, rng) * w;
+                }
+                *out = noise.output(acc, rng);
             }
-            *out_slot = acc as f32;
         }
-        output
+        Ok(output)
+    }
+}
+
+/// The analog noise of one conv/FC layer call. Each helper makes exactly the
+/// draws a per-MAC loop makes, with the same expression association, so the
+/// kernels' outputs stay bit-identical.
+struct LayerNoise {
+    input_sigma_lsb: f64,
+    act_step: f64,
+    psum_sigma_lsb: f64,
+    psum_lsb: f64,
+    sqrt_fan_in: f64,
+}
+
+impl LayerNoise {
+    fn new(noise: NoiseModel, act_q: QuantParams, w_q: QuantParams, fan_in: usize) -> Self {
+        Self {
+            input_sigma_lsb: noise.input_sigma_lsb,
+            act_step: f64::from(act_q.step()),
+            psum_sigma_lsb: noise.psum_sigma_lsb,
+            psum_lsb: f64::from(act_q.step() * w_q.step()),
+            sqrt_fan_in: (fan_in as f64).sqrt(),
+        }
+    }
+
+    /// Whether every input tap takes a draw.
+    fn draws_input(&self) -> bool {
+        self.input_sigma_lsb > 0.0
+    }
+
+    /// A quantized input as the crossbar sees it: one draw of DTC/X-subBuf
+    /// noise, `g·σ·step`, when input noise is on.
+    fn input(&self, a: f64, rng: &mut StdRng) -> f64 {
+        if self.draws_input() {
+            a + sample_gaussian(rng) * self.input_sigma_lsb * self.act_step
+        } else {
+            a
+        }
+    }
+
+    /// A finished partial sum, narrowed to `f32`: one psum draw,
+    /// `g·σ·lsb·√fan_in`, first when psum noise is on.
+    fn output(&self, acc: f64, rng: &mut StdRng) -> f32 {
+        if self.psum_sigma_lsb > 0.0 {
+            (acc + sample_gaussian(rng) * self.psum_sigma_lsb * self.psum_lsb * self.sqrt_fan_in)
+                as f32
+        } else {
+            acc as f32
+        }
     }
 }
 
@@ -472,7 +596,8 @@ impl AccuracyReport {
 ///
 /// # Errors
 ///
-/// Propagates forward-pass errors (which cannot occur for zoo models).
+/// Propagates forward-pass errors (for zoo models, only an unsupported bit
+/// width).
 pub fn accuracy_under_noise(
     model: &Model,
     config: InferenceConfig,

@@ -88,24 +88,9 @@ impl Tensor {
         self.data[offset] = value;
     }
 
-    /// Reads the element at `(channel, row, col)`, returning `0.0` for
-    /// out-of-bounds spatial coordinates (implicit zero padding). Negative
-    /// coordinates are expressed by passing `isize` values.
-    pub fn get_padded(&self, channel: usize, row: isize, col: isize) -> f32 {
-        if row < 0
-            || col < 0
-            || row as usize >= self.shape.height
-            || col as usize >= self.shape.width
-        {
-            0.0
-        } else {
-            self.get(channel, row as usize, col as usize)
-        }
-    }
-
     /// The maximum absolute value in the tensor (0.0 for an all-zero tensor).
     pub fn max_abs(&self) -> f32 {
-        self.data.iter().fold(0.0_f32, |acc, v| acc.max(v.abs()))
+        max_abs(&self.data)
     }
 
     /// Index of the maximum element (ties broken toward the lower index).
@@ -130,6 +115,28 @@ impl Tensor {
         debug_assert!(col < self.shape.width);
         (channel * self.shape.height + row) * self.shape.width + col
     }
+}
+
+/// The largest magnitude in `values`: 0.0 when empty, NaN skipped (as
+/// `f32::max` skips it).
+///
+/// Eight independent lanes keep the loop free of a serial dependency so it
+/// vectorizes. Every candidate is non-negative and the maximum is exact, so
+/// the lane order cannot change the result's bits.
+pub(crate) fn max_abs(values: &[f32]) -> f32 {
+    let mut lanes = [0.0_f32; 8];
+    let mut chunks = values.chunks_exact(lanes.len());
+    for chunk in chunks.by_ref() {
+        for (lane, &v) in lanes.iter_mut().zip(chunk) {
+            let v = v.abs();
+            *lane = if v > *lane { v } else { *lane };
+        }
+    }
+    let tail = chunks.remainder().iter().map(|v| v.abs());
+    lanes
+        .into_iter()
+        .chain(tail)
+        .fold(0.0, |acc, v| if v > acc { v } else { acc })
 }
 
 #[cfg(test)]
@@ -164,19 +171,26 @@ mod tests {
     }
 
     #[test]
-    fn padded_access_returns_zero_outside() {
-        let mut t = Tensor::zeros(FeatureMap::new(1, 2, 2));
-        t.set(0, 0, 0, 3.0);
-        assert_eq!(t.get_padded(0, -1, 0), 0.0);
-        assert_eq!(t.get_padded(0, 0, 2), 0.0);
-        assert_eq!(t.get_padded(0, 0, 0), 3.0);
-    }
-
-    #[test]
     fn argmax_and_max_abs() {
         let t = Tensor::from_vec(FeatureMap::vector(4), vec![-5.0, 2.0, 4.0, 1.0]).unwrap();
         assert_eq!(t.argmax(), 2);
         assert_eq!(t.max_abs(), 5.0);
+    }
+
+    #[test]
+    fn lane_max_abs_matches_a_serial_fold() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for len in [0, 1, 7, 8, 9, 64, 1001] {
+            let mut values = Tensor::random_uniform(FeatureMap::vector(len.max(1)), 3.0, &mut rng)
+                .data()[..len]
+                .to_vec();
+            if len > 2 {
+                values[len / 2] = f32::NAN;
+                values[1] = -0.0;
+            }
+            let serial = values.iter().fold(0.0_f32, |acc, v| acc.max(v.abs()));
+            assert_eq!(max_abs(&values).to_bits(), serial.to_bits(), "len {len}");
+        }
     }
 
     #[test]

@@ -39,6 +39,7 @@ cargo run --release -p timely-lint -- --stale-allows
 cargo run --release -p timely-bench --bin serving_study -- --smoke \
     --trace target/trace_smoke.json --metrics target/metrics_smoke.txt > /dev/null
 cargo run --release -p timely-bench --bin dse_study -- --smoke > /dev/null
+cargo run --release -p timely-bench --bin accuracy_study -- --smoke > /dev/null
 cargo run --release -p timely-bench --bin backend_matrix > /dev/null
 # Soft perf gate: re-measure DSE/sim throughput and compare against the
 # committed BENCH_*.json baselines by ratio. Deltas are reported; only a
