@@ -197,6 +197,11 @@ impl TimelyConfig {
     /// and as a compact point identifier in reports, so two configurations
     /// compare equal if and only if they describe the same design point (up
     /// to the fidelity of the serialized representation).
+    ///
+    /// It is FNV-1a over the serde stub's encoding, as
+    /// [`stable_hash_of`](crate::backend::stable_hash_of) computes it. Unit
+    /// tests pin literal values, so a change to the encoded bytes cannot
+    /// slip through.
     pub fn stable_hash(&self) -> u64 {
         // FNV-1a over the canonical serde encoding (std's hashers are
         // randomly keyed per process, which would break golden-file tests) —
@@ -366,6 +371,26 @@ mod tests {
         let d = TimelyConfig::paper_16bit();
         assert_ne!(a.stable_hash(), d.stable_hash());
         assert_ne!(c.stable_hash(), d.stable_hash());
+    }
+
+    #[test]
+    fn stable_hashes_are_pinned() {
+        // Literal values, so any change to the serde stub's encoded bytes
+        // fails here, not only through the goldens. The production-space
+        // and baseline pins live in the facade's `tests/vendor_stubs.rs`.
+        use crate::{Backend, TimelyAccelerator};
+        assert_eq!(
+            TimelyConfig::paper_default().stable_hash(),
+            0x64d9_d09e_6438_6230
+        );
+        assert_eq!(
+            TimelyConfig::paper_16bit().stable_hash(),
+            0x241e_7fe3_501d_0414
+        );
+        assert_eq!(
+            TimelyAccelerator::new(TimelyConfig::paper_default()).cache_key(),
+            0x4de5_3de2_fd87_5a86
+        );
     }
 
     #[test]

@@ -85,8 +85,7 @@ impl EnergyBreakdown {
 
     /// Computes the breakdown from aggregate event counts plus the digital
     /// post-processing op counts, without requiring a full [`ModelMapping`]
-    /// — the energy core behind [`Backend::bounds`](crate::Backend::bounds)
-    /// and the `timely-dse` hot path. Pairs with
+    /// — the energy core of the `timely-dse` hot path. Pairs with
     /// [`ModelMapping::workload_totals`].
     pub fn for_counts(
         totals: &crate::mapping::LayerCounts,

@@ -170,8 +170,7 @@ impl ModelMapping {
     }
 
     /// Aggregate event counts of a workload without materializing per-layer
-    /// records or their name strings — the counting core behind
-    /// [`Backend::bounds`](crate::Backend::bounds). Field-for-field equal to
+    /// records or their name strings. Field-for-field equal to
     /// the `totals` of [`ModelMapping::from_workload`]: it applies the
     /// configuration once to the workload's [`TotalsFactors`] instead of to
     /// every layer, which is exact because every count is linear in the

@@ -26,6 +26,9 @@
 //! depends only on the fleet size and each model's per-chip initiation
 //! interval and latency, so candidates that differ only on axes the
 //! schedule never reads (the feature set, for one) share one simulation run.
+//! A run that does happen gets its per-chip model profiles from the same
+//! cached layers (schedule summaries for the service times, layer sums for
+//! the energy), not from a `Backend::evaluate` per model.
 //!
 //! Every outcome is memoized in a cache keyed on the *backend-qualified*
 //! configuration hash ([`Backend::cache_key`]: the backend id tag folded
@@ -52,9 +55,7 @@ use timely_core::{
 };
 use timely_nn::workload::ModelWorkload;
 use timely_nn::Model;
-use timely_sim::serving_check;
-#[cfg(debug_assertions)]
-use timely_sim::ModelProfile;
+use timely_sim::{serving_check, serving_check_profiles, ModelProfile, SimReport};
 
 /// The objective vector of one design point. Lower is better on every axis.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -590,18 +591,7 @@ impl Evaluator {
                 .as_ref()
                 .map_err(|_| WorkloadFailure::Analysis(index))?;
             let summary = self.summaries.summary(index)?;
-            let totals = factors[index].totals(
-                workload,
-                placements[index].crossbars().iter().copied(),
-                config,
-            );
-            let energy = EnergyByCategory::from_breakdown(&EnergyBreakdown::for_counts(
-                &totals,
-                workload.relu_elements,
-                workload.pool_outputs,
-                config,
-            ));
-            energy_mj += energy.total().as_millijoules();
+            energy_mj += model_energy_mj(workload, &factors[index], &placements[index], config);
             let latency = summary.single_inference_latency(config).as_seconds() * 1e3;
             latency_ms += latency;
             min_latency_ms = min_latency_ms.min(latency);
@@ -746,6 +736,57 @@ impl Evaluator {
         Some((config.chips, profiles))
     }
 
+    /// The per-chip profiles of a candidate whose [`ServingKey`] is `key`,
+    /// built from cached numbers: service times from the key's bits, energy
+    /// from the cached layer sums and placements at `chips = 1`. The name
+    /// and every number equal [`ModelProfile::for_model`]'s bit for bit.
+    /// `None` when a model's analysis failed or its cached rows are missing.
+    fn per_chip_profiles(
+        &self,
+        config: &TimelyConfig,
+        key: &ServingKey,
+    ) -> Option<Vec<ModelProfile>> {
+        let per_chip = TimelyConfig {
+            chips: 1,
+            ..config.clone()
+        };
+        let placements = self.placements.get(&placement_key(&per_chip))?;
+        let factors = self.factors.get(&TotalsFactors::key(&per_chip))?;
+        key.1
+            .iter()
+            .enumerate()
+            .map(|(index, &(interval_bits, latency_bits))| {
+                let workload = self.analyzed.get(index)?.as_ref().ok()?;
+                Some(ModelProfile {
+                    name: self.workloads.get(index)?.name().to_string(),
+                    initiation_interval_s: f64::from_bits(interval_bits),
+                    latency_s: f64::from_bits(latency_bits),
+                    energy_mj: model_energy_mj(
+                        workload,
+                        factors.get(index)?,
+                        placements.get(index)?,
+                        &per_chip,
+                    ),
+                })
+            })
+            .collect()
+    }
+
+    /// The per-chip model profiles the serving check hands the simulator
+    /// for `config`, built from the evaluator's cached placements, layer
+    /// sums and schedule summaries. They equal [`ModelProfile::for_model`]
+    /// bit for bit. `None` when the configuration is invalid, a workload
+    /// model cannot be analyzed, or a model does not fit on one chip; the
+    /// serving check then runs `serving_check` on the configuration
+    /// directly.
+    pub fn serving_profiles(&mut self, config: &TimelyConfig) -> Option<Vec<ModelProfile>> {
+        config.validate().ok()?;
+        self.ensure_placements(placement_key(config));
+        self.ensure_factors(config);
+        let key = self.serving_key(config)?;
+        self.per_chip_profiles(config, &key)
+    }
+
     /// The serving check's p99 in ms for a candidate, or its infeasible
     /// reason. The simulation runs once per distinct [`ServingKey`]; later
     /// candidates with the same key reuse the stored result.
@@ -758,14 +799,34 @@ impl Evaluator {
             self.stats.serving_reuses += 1;
             return stored.clone();
         }
-        #[cfg(debug_assertions)]
-        for (model, &bits) in self.workloads.iter().zip(&key.1) {
-            let profile = ModelProfile::for_model(model, config)
-                .map(|p| (p.initiation_interval_s.to_bits(), p.latency_s.to_bits()));
-            debug_assert_eq!(profile, Ok(bits), "serving key of {}", model.name());
-        }
         self.stats.serving_runs += 1;
-        let result = run_serving_check(&self.workloads, config, check);
+        let result = match self.per_chip_profiles(config, &key) {
+            Some(profiles) => {
+                #[cfg(debug_assertions)]
+                for (model, profile) in self.workloads.iter().zip(&profiles) {
+                    let bits = |p: &ModelProfile| {
+                        let numbers = [p.initiation_interval_s, p.latency_s, p.energy_mj];
+                        (p.name.clone(), numbers.map(f64::to_bits))
+                    };
+                    debug_assert_eq!(
+                        ModelProfile::for_model(model, config).map(|p| bits(&p)),
+                        Ok(bits(profile)),
+                        "serving profile of {}",
+                        model.name()
+                    );
+                }
+                p99_ms(serving_check_profiles(
+                    profiles,
+                    config.chips,
+                    check.load,
+                    check.requests,
+                    check.seed,
+                ))
+            }
+            // Not reached after a successful workload evaluation, which
+            // analyzed every model and built its cached rows.
+            None => run_serving_check(&self.workloads, config, check),
+        };
         self.serving_memo.insert(key, result.clone());
         result
     }
@@ -844,15 +905,45 @@ impl Evaluator {
     }
 }
 
-/// Runs one serving check and reduces it to the p99 in ms, or the
-/// infeasible reason (a rejected check, or a run that completed nothing).
+/// One model's energy per inference in mJ from its cached layer sums and
+/// placement: the [`Backend::evaluate`] energy arithmetic, step for step.
+fn model_energy_mj(
+    workload: &ModelWorkload,
+    factors: &TotalsFactors,
+    placement: &LayerPlacement,
+    config: &TimelyConfig,
+) -> f64 {
+    let totals = factors.totals(workload, placement.crossbars().iter().copied(), config);
+    EnergyByCategory::from_breakdown(&EnergyBreakdown::for_counts(
+        &totals,
+        workload.relu_elements,
+        workload.pool_outputs,
+        config,
+    ))
+    .total()
+    .as_millijoules()
+}
+
+/// Runs one serving check on the configuration itself (profiling every
+/// model through [`Backend::evaluate`]) and reduces it with [`p99_ms`].
 fn run_serving_check(
     models: &[Model],
     config: &TimelyConfig,
     check: ServingCheck,
 ) -> Result<f64, String> {
-    let report = serving_check(models, config, check.load, check.requests, check.seed)
-        .map_err(|err| format!("serving check: {err}"))?;
+    p99_ms(serving_check(
+        models,
+        config,
+        check.load,
+        check.requests,
+        check.seed,
+    ))
+}
+
+/// Reduces a serving check to the p99 in ms, or the infeasible reason (a
+/// rejected check, or a run that completed nothing).
+fn p99_ms(report: Result<SimReport, EvalError>) -> Result<f64, String> {
+    let report = report.map_err(|err| format!("serving check: {err}"))?;
     if report.completed == 0 {
         return Err("serving check completed no requests".to_string());
     }

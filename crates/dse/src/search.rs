@@ -207,6 +207,10 @@ pub struct Explorer {
     /// matrix of `dims`-wide objective vectors. Candidates whose bound
     /// vector is dominated by a row here can never reach the frontier.
     archive: Vec<f64>,
+    /// The archive row that dominated the last screened-out candidate:
+    /// neighbouring candidates tend to share a dominator, so it is tested
+    /// first. Only a hint; rows move as the archive changes.
+    last_dominator: usize,
     /// Scratch for bound vectors (reused across candidates).
     bound_buf: Vec<f64>,
     /// Scratch for objective vectors (reused across candidates).
@@ -232,6 +236,7 @@ impl Explorer {
             screen: ScreenStats::default(),
             dims,
             archive: Vec::new(),
+            last_dominator: 0,
             bound_buf: Vec::new(),
             vector_buf: Vec::new(),
         }
@@ -422,10 +427,29 @@ impl Explorer {
             BoundCheck::NeverFeasible => true,
             BoundCheck::Unknown => false,
             BoundCheck::Bounds => {
-                let bounds = &self.bound_buf;
-                self.archive
-                    .chunks_exact(self.dims)
-                    .any(|point| dominates(point, bounds))
+                // Whether any row dominates does not depend on the order
+                // the rows are tested in, so trying the last dominator
+                // first is exact.
+                let (bounds, dims) = (&self.bound_buf, self.dims);
+                let hint = self.last_dominator * dims;
+                if self
+                    .archive
+                    .get(hint..hint + dims)
+                    .is_some_and(|point| dominates(point, bounds))
+                {
+                    return true;
+                }
+                match self
+                    .archive
+                    .chunks_exact(dims)
+                    .position(|point| dominates(point, bounds))
+                {
+                    Some(row) => {
+                        self.last_dominator = row;
+                        true
+                    }
+                    None => false,
+                }
             }
         }
     }

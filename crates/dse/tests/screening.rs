@@ -26,7 +26,7 @@ use timely_dse::{
     ServingCheck, Strategy,
 };
 use timely_nn::{zoo, Model};
-use timely_sim::serving_check;
+use timely_sim::{serving_check, serving_check_profiles, ModelProfile};
 
 /// The constraints of the production study (area cap, accuracy floor).
 fn study_constraints(max_latency_ms: Option<f64>) -> Constraints {
@@ -37,20 +37,23 @@ fn study_constraints(max_latency_ms: Option<f64>) -> Constraints {
     }
 }
 
-/// The average {energy mJ, latency ms} of `config` over `models` computed
-/// through the public `Backend::evaluate` trait path — the pre-screening
-/// reference implementation the fast path must match bitwise.
-fn trait_path_objectives(config: &TimelyConfig, models: &[Model]) -> Option<(f64, f64)> {
+/// The average {energy mJ, latency ms} and the area in mm² of `config` over
+/// `models`, computed through the public `Backend::evaluate` trait path —
+/// the pre-screening reference implementation the fast path must match
+/// bitwise.
+fn trait_path_objectives(config: &TimelyConfig, models: &[Model]) -> Option<(f64, f64, f64)> {
     let accelerator = TimelyAccelerator::new(config.clone());
     let mut energy_mj = 0.0;
     let mut latency_ms = 0.0;
+    let mut area_mm2 = 0.0;
     for model in models {
         let outcome = Backend::evaluate(&accelerator, model).ok()?;
         energy_mj += outcome.energy_millijoules();
         latency_ms += outcome.physics.single_inference_latency.as_seconds() * 1e3;
+        area_mm2 = outcome.area_mm2;
     }
     let count = models.len() as f64;
-    Some((energy_mj / count, latency_ms / count))
+    Some((energy_mj / count, latency_ms / count, area_mm2))
 }
 
 proptest! {
@@ -101,8 +104,8 @@ proptest! {
 
     /// A hill-climb neighbor evaluated through warm placement caches is
     /// byte-identical (canonical serde encoding) to a from-scratch
-    /// evaluation, and its objectives match the `Backend::evaluate` trait
-    /// path bitwise.
+    /// evaluation, and its energy, latency and area match the
+    /// `Backend::evaluate` trait path bitwise.
     #[test]
     fn incremental_evaluation_is_bit_identical(
         index in 0usize..103_680,
@@ -137,13 +140,14 @@ proptest! {
             serde::json::to_string(&scratch.report())
         );
         if let Some(report) = incremental.report() {
-            let (energy_mj, latency_ms) = trait_path_objectives(&config, &models)
+            let (energy_mj, latency_ms, area_mm2) = trait_path_objectives(&config, &models)
                 .expect("feasible point evaluates through the trait path");
             prop_assert_eq!(
                 report.objectives.energy_mj_per_inference.to_bits(),
                 energy_mj.to_bits()
             );
             prop_assert_eq!(report.objectives.latency_ms.to_bits(), latency_ms.to_bits());
+            prop_assert_eq!(report.objectives.area_mm2.to_bits(), area_mm2.to_bits());
         }
     }
 }
@@ -354,6 +358,54 @@ fn serving_p99_matches_a_direct_run_across_fleet_sizes() {
     // One run per fleet size on 53 sub-chips, reused by the other feature
     // set, plus the four direct runs that reject VGG-D.
     assert_eq!((stats.serving_runs, stats.serving_reuses), (7, 3));
+}
+
+/// A serving run gets its per-chip model profiles from the evaluator's
+/// cached numbers, not from `Backend::evaluate`. On paper-neighborhood
+/// points that pass the study's pre-screens, at one and two chips, they
+/// equal `ModelProfile::for_model` bit for bit (name, service times and
+/// energy), and the run they drive reports exactly what a direct
+/// `serving_check` reports.
+#[test]
+fn cached_serving_profiles_match_the_trait_path() {
+    let space = SearchSpace {
+        chips: vec![1, 2],
+        ..SearchSpace::paper_neighborhood()
+    };
+    let models = zoo::dse_benchmarks();
+    let check = ServingCheck::default();
+    let mut eval = Evaluator::new(models.clone())
+        .with_constraints(study_constraints(None))
+        .with_serving(check);
+    let bits = |p: &ModelProfile| {
+        let numbers = [p.initiation_interval_s, p.latency_s, p.energy_mj];
+        (p.name.clone(), numbers.map(f64::to_bits))
+    };
+    let mut checked = [0; 2];
+    // Every seventh point: 7 shares no factor with any axis size.
+    for index in (0..space.len()).step_by(7) {
+        let config = space.config_at(index);
+        if eval.evaluate(&config).report().is_none() {
+            continue;
+        }
+        let cached = eval
+            .serving_profiles(&config)
+            .expect("every model of a feasible neighborhood point fits one chip");
+        for (model, profile) in models.iter().zip(&cached) {
+            let reference = ModelProfile::for_model(model, &config).expect("profiles");
+            assert_eq!(bits(profile), bits(&reference), "point {index}");
+        }
+        let from_cache =
+            serving_check_profiles(cached, config.chips, check.load, check.requests, check.seed);
+        let direct = serving_check(&models, &config, check.load, check.requests, check.seed);
+        assert_eq!(
+            serde::json::to_string(&from_cache.expect("cached run")),
+            serde::json::to_string(&direct.expect("direct run")),
+            "point {index}"
+        );
+        checked[config.chips - 1] += 1;
+    }
+    assert!(checked.iter().all(|&n| n > 10), "{checked:?}");
 }
 
 /// With the serving axis enabled, the p99 bound (the smallest single-model

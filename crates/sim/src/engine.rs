@@ -253,17 +253,13 @@ impl ServingSimulator {
     ///
     /// Propagates evaluation errors: every chip's backend must support every
     /// model in the fleet's zoo. Returns [`EvalError::Unsupported`] for an
-    /// empty model list or a horizon that is not positive and finite.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `backends` is empty.
+    /// empty fleet, an empty model list, or a horizon that is not positive
+    /// and finite.
     pub fn heterogeneous(
         models: &[Model],
         backends: &[&dyn Backend],
         config: SimConfig,
     ) -> Result<Self, EvalError> {
-        assert!(!backends.is_empty(), "fleet needs at least one chip");
         let chip_profiles = backends
             .iter()
             .map(|backend| {
@@ -273,7 +269,10 @@ impl ServingSimulator {
                     .collect::<Result<Vec<_>, _>>()
             })
             .collect::<Result<Vec<_>, _>>()?;
-        Self::from_chip_profiles(chip_profiles, config, backends[0].id())
+        // An empty fleet has no chip to name; `from_chip_profiles` rejects
+        // it as unsupported by TIMELY.
+        let backend = backends.first().map_or(BackendId::Timely, |b| b.id());
+        Self::from_chip_profiles(chip_profiles, config, backend)
     }
 
     /// Builds the simulator from its profile matrix, rejecting an empty
@@ -956,13 +955,9 @@ fn event_key(event: &Event) -> &'static str {
 /// mix capacity, for approximately `requests` arrivals, and returns the run's
 /// [`SimReport`].
 ///
-/// The fleet's mix capacity is conservatively taken as the slowest model's
-/// per-chip rate times the chip count, so `load < 1` keeps every model's
-/// share below saturation. Runs are fully deterministic in `seed`, and the
-/// report's latencies and completion count depend on the configuration only
-/// through the fleet size and each model's per-chip initiation interval and
-/// latency. That is what lets the explorer reuse one run for every design
-/// point with the same fleet size and per-chip service times.
+/// This profiles each model on one chip of `chip_config` (as
+/// [`ModelProfile::for_model`] does) and hands the profiles to
+/// [`serving_check_profiles`], which sizes and runs the simulation.
 ///
 /// # Errors
 ///
@@ -978,60 +973,98 @@ pub fn serving_check(
     requests: f64,
     seed: u64,
 ) -> Result<SimReport, EvalError> {
-    let mut per_chip = chip_config.clone();
-    per_chip.chips = 1;
-    let backend = TimelyAccelerator::new(per_chip);
-    let unsupported = |reason: String| EvalError::Unsupported {
-        backend: backend.id(),
-        reason,
-    };
-    if models.is_empty() {
-        return Err(unsupported("serving check needs at least one model".into()));
-    }
-    if !(load > 0.0 && load.is_finite()) {
-        return Err(unsupported(format!(
-            "serving load must be positive and finite, got {load}"
-        )));
-    }
-    if !(requests >= 1.0 && requests.is_finite()) {
-        return Err(unsupported(format!(
-            "serving requests must be finite and >= 1, got {requests}"
-        )));
-    }
-    let sim = ServingSimulator::for_backend(
-        models,
-        &backend,
+    // Reject bad inputs before profiling, which is the expensive part.
+    check_serving_inputs(models.len(), load, requests)?;
+    let per_chip = TimelyAccelerator::new(TimelyConfig {
+        chips: 1,
+        ..chip_config.clone()
+    });
+    let profiles = models
+        .iter()
+        .map(|model| ModelProfile::for_backend(model, &per_chip))
+        .collect::<Result<Vec<_>, _>>()?;
+    serving_check_profiles(profiles, chip_config.chips, load, requests, seed)
+}
+
+/// The sizing-and-run half of [`serving_check`], for callers that already
+/// hold each model's per-chip TIMELY profile: simulates a uniform mix over
+/// `profiles` on `chips` replicated chips (at least one) under open-loop
+/// Poisson traffic at `load` × the fleet's mix capacity, for approximately
+/// `requests` arrivals.
+///
+/// The fleet's mix capacity is conservatively taken as the slowest model's
+/// per-chip rate times the chip count, so `load < 1` keeps every model's
+/// share below saturation. Runs are fully deterministic in `seed`, and the
+/// report's latencies and completion count depend on the profiles only
+/// through each model's initiation interval and latency (energy feeds only
+/// the energy accounting). That is what lets the explorer reuse one run for
+/// every design point with the same fleet size and per-chip service times.
+///
+/// # Errors
+///
+/// Returns [`EvalError::Unsupported`] when `profiles` is empty, when `load`
+/// is not a positive finite number, when `requests` is not a finite number
+/// of at least 1, or when the simulator rejects the derived traffic.
+pub fn serving_check_profiles(
+    profiles: Vec<ModelProfile>,
+    chips: usize,
+    load: f64,
+    requests: f64,
+    seed: u64,
+) -> Result<SimReport, EvalError> {
+    check_serving_inputs(profiles.len(), load, requests)?;
+    let chips = chips.max(1);
+    let models = profiles.len();
+    let max_latency = profiles.iter().map(|p| p.latency_s).fold(0.0, f64::max);
+    let mut sim = ServingSimulator::from_chip_profiles(
+        vec![profiles; chips],
         SimConfig {
             seed,
             // Placeholder horizon; replaced below once capacity is known.
             duration_s: 1.0,
-            chips: chip_config.chips.max(1),
+            chips,
             policy: Policy::ShortestQueue,
             sharding: Sharding::Replicate,
         },
+        BackendId::Timely,
     )?;
-    let capacity = (0..models.len())
+    let capacity = (0..models)
         .map(|m| sim.fleet_capacity_rps(m))
         .fold(f64::INFINITY, f64::min);
     let rate = load * capacity;
-    let max_latency = sim
-        .profiles()
-        .iter()
-        .map(|p| p.latency_s)
-        .fold(0.0, f64::max);
-    let mut sim = sim;
     // Keep the horizon well above the unqueued latency so in-flight
     // censoring at the horizon stays negligible.
     sim.config.duration_s = (requests / rate).max(20.0 * max_latency);
     let traffic = TrafficSpec {
         process: ArrivalProcess::Poisson { rate },
-        mix: ModelMix::uniform(models.len()),
+        mix: ModelMix::uniform(models),
     };
     // The fallible run keeps this entry point (the explorer's serving
     // objective) panic-free: a malformed derived rate surfaces as an
     // evaluation error, not a crash mid-sweep.
     sim.run_scenario_recorded(&traffic, &Scenario::default(), &mut NoopRecorder)
-        .map_err(|err| unsupported(format!("serving simulation rejected its inputs: {err}")))
+        .map_err(|err| EvalError::Unsupported {
+            backend: BackendId::Timely,
+            reason: format!("serving simulation rejected its inputs: {err}"),
+        })
+}
+
+/// The input checks shared by [`serving_check`] and
+/// [`serving_check_profiles`].
+fn check_serving_inputs(models: usize, load: f64, requests: f64) -> Result<(), EvalError> {
+    let reason = if models == 0 {
+        "serving check needs at least one model".to_string()
+    } else if !(load > 0.0 && load.is_finite()) {
+        format!("serving load must be positive and finite, got {load}")
+    } else if !(requests >= 1.0 && requests.is_finite()) {
+        format!("serving requests must be finite and >= 1, got {requests}")
+    } else {
+        return Ok(());
+    };
+    Err(EvalError::Unsupported {
+        backend: BackendId::Timely,
+        reason,
+    })
 }
 
 #[cfg(test)]
@@ -1445,14 +1478,23 @@ mod tests {
             ("no models", &[], 0.5, 200.0),
         ];
         for (label, models, load, requests) in cases {
+            let profiles: Vec<_> = models
+                .iter()
+                .map(|model| ModelProfile::for_model(model, &cfg).unwrap())
+                .collect();
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                serving_check(models, &cfg, load, requests, 1)
+                [
+                    serving_check(models, &cfg, load, requests, 1),
+                    serving_check_profiles(profiles, 1, load, requests, 1),
+                ]
             }));
-            let result = outcome.unwrap_or_else(|_| panic!("{label}: serving_check unwound"));
-            assert!(
-                matches!(result, Err(EvalError::Unsupported { .. })),
-                "{label}: {result:?}"
-            );
+            let results = outcome.unwrap_or_else(|_| panic!("{label}: a serving check unwound"));
+            for result in results {
+                assert!(
+                    matches!(result, Err(EvalError::Unsupported { .. })),
+                    "{label}: {result:?}"
+                );
+            }
         }
     }
 
@@ -1474,10 +1516,14 @@ mod tests {
         ];
         let backend = TimelyAccelerator::new(cfg.clone());
         for (label, models, config) in cases {
+            // A heterogeneous fleet's size is its backend list: zero chips
+            // is the empty list.
+            let fleet: &[&dyn Backend] = if config.chips == 0 { &[] } else { &[&backend] };
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 [
                     ServingSimulator::new(models, &cfg, config),
                     ServingSimulator::for_backend(models, &backend, config),
+                    ServingSimulator::heterogeneous(models, fleet, config),
                 ]
             }));
             let results = outcome.unwrap_or_else(|_| panic!("{label}: a constructor unwound"));

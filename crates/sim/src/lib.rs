@@ -79,7 +79,9 @@ pub mod scheduler;
 pub mod stats;
 pub mod traffic;
 
-pub use engine::{serving_check, ModelProfile, ServingSimulator, SimConfig};
+pub use engine::{
+    serving_check, serving_check_profiles, ModelProfile, ServingSimulator, SimConfig,
+};
 pub use error::SimError;
 pub use event::EventQueue;
 pub use faults::{Fault, FaultKind, Scenario, StatsMode};

@@ -1,6 +1,7 @@
 //! Integration tests for the offline `vendor/` stub crates, exercised
 //! through the real workspace types: a `TimelyConfig` must survive a serde
-//! round-trip, and the `rand` stub's seeded PRNG must be deterministic.
+//! round-trip, its encoding (and so every `stable_hash`) must not drift,
+//! and the `rand` stub's seeded PRNG must be deterministic.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -35,6 +36,32 @@ fn serialized_config_is_human_readable() {
     assert!(text.contains("\"crossbar_size\":256"), "{text}");
     assert!(text.contains("\"gamma\":8"), "{text}");
     assert!(text.contains("\"subchips_per_chip\":106"), "{text}");
+}
+
+#[test]
+fn stable_hashes_are_pinned_across_the_production_space() {
+    // Every 997th production-space point, folded into one digest in space
+    // order, plus the ISAAC and PRIME default cache keys (hashes of their
+    // own configs). Literal values, so any change to the serde stub's
+    // encoded bytes fails here.
+    use timely::arch::backend::fold_cache_key;
+    use timely::arch::Backend;
+    let space = timely::dse::SearchSpace::production_space();
+    let mut digest = 0xcbf2_9ce4_8422_2325;
+    let mut points = 0;
+    for index in (0..space.len()).step_by(997) {
+        digest = fold_cache_key(digest, space.config_at(index).stable_hash());
+        points += 1;
+    }
+    assert_eq!((points, digest), (104, 0x9778_a4d4_2d9f_441d));
+    assert_eq!(
+        timely::baselines::IsaacModel::default().cache_key(),
+        0xf362_0cf7_f13e_4827
+    );
+    assert_eq!(
+        timely::baselines::PrimeModel::default().cache_key(),
+        0xe4d1_6fd7_ea7b_b7c1
+    );
 }
 
 #[test]
