@@ -467,6 +467,8 @@ struct Run<'a, R: Recorder> {
     chips: Vec<ChipState>,
     router: Router,
     open_source: Option<OpenLoopSource>,
+    /// Closed loop with a positive mean think time: its distribution.
+    think: Option<Exp>,
     horizon_s: f64,
     now_s: f64,
     // Measurement accumulators.
@@ -515,6 +517,12 @@ impl<'a, R: Recorder> Run<'a, R> {
             chips: vec![ChipState::default(); sim.config.chips],
             router: Router::new(models),
             open_source: OpenLoopSource::new(traffic.process),
+            think: match traffic.process {
+                ArrivalProcess::ClosedLoop { think_time_s, .. } if think_time_s > 0.0 => {
+                    Some(Exp::new(1.0 / think_time_s))
+                }
+                _ => None,
+            },
             horizon_s: sim.config.duration_s,
             now_s: 0.0,
             offered: 0,
@@ -801,24 +809,18 @@ impl<'a, R: Recorder> Run<'a, R> {
 
         // Closed loop: the client thinks, then issues its next request.
         if request.client != usize::MAX {
-            if let ArrivalProcess::ClosedLoop { think_time_s, .. } = self.traffic.process {
-                let think = if think_time_s > 0.0 {
-                    Exp::new(1.0 / think_time_s).sample(&mut self.rng)
-                } else {
-                    0.0
-                };
-                let t = self.now_s + think;
-                if t <= self.horizon_s {
-                    let model = self.traffic.mix.sample(&mut self.rng);
-                    self.events.push(
-                        t,
-                        Event::Arrival(Request {
-                            model,
-                            arrival_s: t,
-                            client: request.client,
-                        }),
-                    );
-                }
+            let think = self.think.map_or(0.0, |think| think.sample(&mut self.rng));
+            let t = self.now_s + think;
+            if t <= self.horizon_s {
+                let model = self.traffic.mix.sample(&mut self.rng);
+                self.events.push(
+                    t,
+                    Event::Arrival(Request {
+                        model,
+                        arrival_s: t,
+                        client: request.client,
+                    }),
+                );
             }
         }
     }
@@ -1539,6 +1541,53 @@ mod tests {
                     "{label}: {result:?}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn runs_reject_hostile_traffic_without_unwinding() {
+        let sim = small_fleet(1, Policy::Fifo, 1e-4);
+        let subnormal = 1e-310;
+        let bursty = |mean_burst_s: f64, mean_quiet_s: f64| ArrivalProcess::Bursty {
+            base_rate: 1e3,
+            burst_rate: 1e6,
+            mean_burst_s,
+            mean_quiet_s,
+        };
+        let closed = |clients: usize, think_time_s: f64| ArrivalProcess::ClosedLoop {
+            clients,
+            think_time_s,
+        };
+        let cases = [
+            (
+                "NaN Poisson rate",
+                ArrivalProcess::Poisson { rate: f64::NAN },
+            ),
+            ("zero Poisson rate", ArrivalProcess::Poisson { rate: 0.0 }),
+            ("negative burst sojourn", bursty(-1.0, 1e-3)),
+            ("subnormal burst sojourn", bursty(subnormal, 1e-3)),
+            ("subnormal quiet sojourn", bursty(1e-3, subnormal)),
+            ("no clients", closed(0, 0.0)),
+            ("negative think time", closed(4, -1.0)),
+            ("subnormal think time", closed(4, subnormal)),
+            (
+                "smallest subnormal think time",
+                closed(4, f64::from_bits(1)),
+            ),
+        ];
+        for (label, process) in cases {
+            let traffic = TrafficSpec {
+                process,
+                mix: ModelMix::single(0),
+            };
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                sim.run_scenario_recorded(&traffic, &Scenario::default(), &mut NoopRecorder)
+            }));
+            let result = outcome.unwrap_or_else(|_| panic!("{label}: the run unwound"));
+            assert!(
+                matches!(result, Err(SimError::InvalidTraffic(_))),
+                "{label}: {result:?}"
+            );
         }
     }
 

@@ -10,42 +10,96 @@
 //! The queue is a binary heap over `(time, seq)`: O(log n) per push and pop
 //! whatever the spread of pending event times, which matters for closed-loop
 //! traffic where hundreds of clients are seeded at one instant and the whole
-//! run spans a fraction of a second.
+//! run spans a fraction of a second. Two details keep each event cheap:
+//!
+//! * **Deferred root removal.** [`EventQueue::pop`] copies the root out and
+//!   leaves it in place, marked stale. A following push overwrites the stale
+//!   root and sifts it down, stopping as soon as it is in order; a following
+//!   pop removes it first. The engine pops one event and usually pushes its
+//!   successor, so most pop/push pairs cost one short sift-down instead of a
+//!   sift to the bottom plus a sift-up.
+//! * **One integer key.** Each entry packs `(time, seq)` into one `u128`:
+//!   the high half is the time's [`f64::total_cmp`] order key, the low half
+//!   the sequence number. Comparing entries is one integer comparison, and
+//!   the time is decoded from the key rather than stored twice.
+//!
+//! Keys are unique, so the pop sequence is the same for every correct heap:
+//! the two details above change the cost, never the order.
 
 use crate::error::SimError;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+/// Maps `time` to a `u64` whose unsigned order is [`f64::total_cmp`] order
+/// (the sign-flip transform of the IEEE-754 bits); [`time_of`] inverts it.
+fn order_key(time: f64) -> u64 {
+    let bits = time.to_bits();
+    // Negative: flip every bit; non-negative: flip the sign bit only.
+    bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63))
+}
+
+/// The time whose [`order_key`] is `key`.
+fn time_of(key: u64) -> f64 {
+    f64::from_bits(key ^ (!(((key as i64) >> 63) as u64) | (1 << 63)))
+}
+
 /// One scheduled event: a payload due at a simulated time.
 #[derive(Debug, Clone)]
 struct Entry<E> {
-    time: f64,
-    seq: u64,
+    /// `order_key(time) << 64 | seq`.
+    key: u128,
     event: E,
+}
+
+impl<E> Entry<E> {
+    fn new(time: f64, seq: u64, event: E) -> Self {
+        Self {
+            key: u128::from(order_key(time)) << 64 | u128::from(seq),
+            event,
+        }
+    }
+
+    fn time(&self) -> f64 {
+        time_of((self.key >> 64) as u64)
+    }
 }
 
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
+        self.key == other.key
     }
 }
 
 impl<E> Eq for Entry<E> {}
 
+// BinaryHeap is a max-heap; every comparison is inverted so the smallest key
+// (earliest time, then earliest insertion) is the greatest entry and pops
+// first.
 impl<E> PartialOrd for Entry<E> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
+    }
+
+    fn lt(&self, other: &Self) -> bool {
+        other.key < self.key
+    }
+
+    fn le(&self, other: &Self) -> bool {
+        other.key <= self.key
+    }
+
+    fn gt(&self, other: &Self) -> bool {
+        other.key > self.key
+    }
+
+    fn ge(&self, other: &Self) -> bool {
+        other.key >= self.key
     }
 }
 
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest event pops first.
-        // Equal times pop in insertion order (FIFO) for determinism.
-        other
-            .time
-            .total_cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.key.cmp(&self.key)
     }
 }
 
@@ -59,21 +113,25 @@ impl<E> Ord for Entry<E> {
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
+    /// The heap's root was already returned by [`EventQueue::pop`] and is
+    /// only awaiting removal (or replacement by the next push).
+    stale_root: bool,
     seq: u64,
     invalid: u64,
 }
 
-impl<E> Default for EventQueue<E> {
+impl<E: Clone> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E> EventQueue<E> {
+impl<E: Clone> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         Self {
             heap: BinaryHeap::new(),
+            stale_root: false,
             seq: 0,
             invalid: 0,
         }
@@ -110,28 +168,44 @@ impl<E> EventQueue<E> {
     }
 
     fn push_valid(&mut self, time_s: f64, event: E) {
-        let seq = self.seq;
+        let entry = Entry::new(time_s, self.seq, event);
         self.seq += 1;
-        self.heap.push(Entry {
-            time: time_s,
-            seq,
-            event,
-        });
+        if std::mem::take(&mut self.stale_root) {
+            // Overwriting the stale root sifts the new entry down from the
+            // top when the guard drops, stopping once it is in order.
+            if let Some(mut root) = self.heap.peek_mut() {
+                *root = entry;
+                return;
+            }
+        }
+        self.heap.push(entry);
     }
 
     /// Removes and returns the earliest event as `(time, event)`.
     pub fn pop(&mut self) -> Option<(f64, E)> {
-        self.heap.pop().map(|entry| (entry.time, entry.event))
+        if std::mem::take(&mut self.stale_root) {
+            self.heap.pop();
+        }
+        let root = self.heap.peek()?;
+        let earliest = (root.time(), root.event.clone());
+        self.stale_root = true;
+        Some(earliest)
     }
 
     /// The time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|entry| entry.time)
+        let entries = self.heap.as_slice();
+        if self.stale_root {
+            // The next root is the earlier of the stale root's children.
+            entries.iter().skip(1).take(2).max().map(Entry::time)
+        } else {
+            entries.first().map(Entry::time)
+        }
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() - usize::from(self.stale_root)
     }
 
     /// Whether no events are pending.
@@ -260,5 +334,77 @@ mod tests {
         }
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, (0..400).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn popping_to_empty_is_repeatable_and_a_later_push_works() {
+        let mut q = EventQueue::new();
+        q.push(1.0, 'a');
+        q.push(2.0, 'b');
+        assert_eq!(q.pop(), Some((1.0, 'a')));
+        assert_eq!(q.pop(), Some((2.0, 'b')));
+        for _ in 0..3 {
+            assert_eq!(q.pop(), None);
+            assert_eq!(q.len(), 0);
+            assert!(q.is_empty());
+            assert_eq!(q.peek_time(), None);
+        }
+        q.push(0.5, 'c');
+        assert_eq!((q.len(), q.peek_time()), (1, Some(0.5)));
+        // The last event popped leaves a stale root; a push replaces it.
+        assert_eq!(q.pop(), Some((0.5, 'c')));
+        assert_eq!((q.len(), q.peek_time()), (0, None));
+        q.push(0.25, 'd');
+        assert_eq!((q.len(), q.peek_time()), (1, Some(0.25)));
+        assert_eq!(q.pop(), Some((0.25, 'd')));
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn packed_keys_order_tricky_times_like_total_cmp_then_seq() {
+        let smallest_subnormal = f64::from_bits(1);
+        let times = [
+            1e300,
+            f64::from_bits(1.0f64.to_bits() + 1),
+            0.0,
+            f64::from_bits(2),
+            1.0,
+            smallest_subnormal,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1.0f64.to_bits() - 1),
+            1.0,
+            0.0,
+            smallest_subnormal,
+            1e300,
+            f64::from_bits(1e300f64.to_bits() + 1),
+        ];
+        // The key round-trips every bit, negative zero and negative times
+        // included, and orders like `total_cmp`.
+        let mut probes = times.to_vec();
+        probes.extend([-0.0, -1.0, -smallest_subnormal, f64::MAX, -f64::MAX]);
+        for &a in &probes {
+            assert_eq!(time_of(order_key(a)).to_bits(), a.to_bits());
+            for &b in &probes {
+                assert_eq!(
+                    order_key(a).cmp(&order_key(b)),
+                    a.total_cmp(&b),
+                    "{a:e} vs {b:e}"
+                );
+            }
+        }
+        // The queue pops in `(total_cmp, seq)` order: equal times FIFO.
+        let mut q = EventQueue::new();
+        for (seq, &t) in times.iter().enumerate() {
+            q.push(t, seq);
+        }
+        let mut expected: Vec<(f64, usize)> = times.iter().copied().zip(0..).collect();
+        expected.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let popped: Vec<(u64, usize)> =
+            std::iter::from_fn(|| q.pop().map(|(t, seq)| (t.to_bits(), seq))).collect();
+        let expected: Vec<(u64, usize)> = expected
+            .iter()
+            .map(|&(t, seq)| (t.to_bits(), seq))
+            .collect();
+        assert_eq!(popped, expected);
     }
 }

@@ -10,8 +10,9 @@
 //! Six modules compose the simulator:
 //!
 //! * [`event`] — the deterministic event-queue core: a binary heap ordered
-//!   by `(time, insertion order)`, so same-time events pop FIFO and no wall
-//!   clock is consulted anywhere;
+//!   by `(time, insertion order)` packed into one integer key, so same-time
+//!   events pop FIFO and no wall clock is consulted anywhere; a popped root
+//!   stays in place until the next push overwrites it with one sift-down;
 //! * [`traffic`] — arrival processes (open-loop Poisson, bursty
 //!   Markov-modulated, closed-loop clients) and weighted model-zoo mixes;
 //! * [`scheduler`] — dispatch policies (FIFO, batching windows,

@@ -52,8 +52,9 @@ impl ArrivalProcess {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidTraffic`] naming the malformed parameter:
-    /// non-positive or non-finite rates and sojourns, zero clients, or a
-    /// negative think time.
+    /// non-positive or non-finite rates and sojourns, zero clients, a
+    /// negative think time, or a sojourn or think time so small (subnormal)
+    /// that its reciprocal rate overflows to infinity.
     pub fn check(&self) -> Result<(), SimError> {
         let fail = |reason: &str| Err(SimError::InvalidTraffic(reason.to_string()));
         match *self {
@@ -78,6 +79,9 @@ impl ArrivalProcess {
                 {
                     return fail("sojourn times must be > 0");
                 }
+                if !((1.0 / mean_burst_s).is_finite() && (1.0 / mean_quiet_s).is_finite()) {
+                    return fail("sojourn times must have a finite reciprocal rate");
+                }
             }
             ArrivalProcess::ClosedLoop {
                 clients,
@@ -88,6 +92,9 @@ impl ArrivalProcess {
                 }
                 if !(think_time_s >= 0.0 && think_time_s.is_finite()) {
                     return fail("think time must be >= 0");
+                }
+                if think_time_s > 0.0 && !(1.0 / think_time_s).is_finite() {
+                    return fail("think time must have a finite reciprocal rate");
                 }
             }
         }
@@ -204,37 +211,41 @@ pub(crate) struct OpenLoopSource {
     state_until: f64,
 }
 
-/// The open-loop subset of [`ArrivalProcess`]. Holding only these variants
-/// makes [`OpenLoopSource::next_arrival`] total — there is no closed-loop
-/// arm to declare unreachable.
+/// The open-loop subset of [`ArrivalProcess`], with each exponential
+/// distribution built once per run. Holding only these variants makes
+/// [`OpenLoopSource::next_arrival`] total — there is no closed-loop arm to
+/// declare unreachable.
 #[derive(Debug, Clone)]
 enum OpenProcess {
     Poisson {
-        rate: f64,
+        gap: Exp,
     },
     Bursty {
-        base_rate: f64,
-        burst_rate: f64,
-        mean_burst_s: f64,
-        mean_quiet_s: f64,
+        base_gap: Exp,
+        burst_gap: Exp,
+        burst_sojourn: Exp,
+        quiet_sojourn: Exp,
     },
 }
 
 impl OpenLoopSource {
-    /// Builds the source, or `None` when the process is closed-loop.
+    /// Builds the source, or `None` when the process is closed-loop. The
+    /// process must have passed [`ArrivalProcess::check`].
     pub(crate) fn new(process: ArrivalProcess) -> Option<Self> {
         let process = match process {
-            ArrivalProcess::Poisson { rate } => OpenProcess::Poisson { rate },
+            ArrivalProcess::Poisson { rate } => OpenProcess::Poisson {
+                gap: Exp::new(rate),
+            },
             ArrivalProcess::Bursty {
                 base_rate,
                 burst_rate,
                 mean_burst_s,
                 mean_quiet_s,
             } => OpenProcess::Bursty {
-                base_rate,
-                burst_rate,
-                mean_burst_s,
-                mean_quiet_s,
+                base_gap: Exp::new(base_rate),
+                burst_gap: Exp::new(burst_rate),
+                burst_sojourn: Exp::new(1.0 / mean_burst_s),
+                quiet_sojourn: Exp::new(1.0 / mean_quiet_s),
             },
             ArrivalProcess::ClosedLoop { .. } => return None,
         };
@@ -251,26 +262,26 @@ impl OpenLoopSource {
     /// The absolute time of the next arrival after `now`.
     pub(crate) fn next_arrival<R: Rng + ?Sized>(&mut self, now: f64, rng: &mut R) -> f64 {
         match self.process {
-            OpenProcess::Poisson { rate } => now + Exp::new(rate).sample(rng),
+            OpenProcess::Poisson { gap } => now + gap.sample(rng),
             OpenProcess::Bursty {
-                base_rate,
-                burst_rate,
-                mean_burst_s,
-                mean_quiet_s,
+                base_gap,
+                burst_gap,
+                burst_sojourn,
+                quiet_sojourn,
             } => {
                 let mut t = now;
                 loop {
                     if t >= self.state_until {
                         self.in_burst = !self.in_burst;
                         let sojourn = if self.in_burst {
-                            Exp::new(1.0 / mean_burst_s)
+                            burst_sojourn
                         } else {
-                            Exp::new(1.0 / mean_quiet_s)
+                            quiet_sojourn
                         };
                         self.state_until = t + sojourn.sample(rng);
                     }
-                    let rate = if self.in_burst { burst_rate } else { base_rate };
-                    let candidate = t + Exp::new(rate).sample(rng);
+                    let gap = if self.in_burst { burst_gap } else { base_gap };
+                    let candidate = t + gap.sample(rng);
                     if candidate <= self.state_until {
                         return candidate;
                     }

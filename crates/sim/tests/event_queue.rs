@@ -1,10 +1,12 @@
 //! Property tests pinning the event queue to an executable spec.
 //!
-//! For any interleaving of pushes and pops, the queue must pop the same
-//! events in the same `(time, insertion)` order as a flat insertion-ordered
-//! list, bit for bit. Times are drawn from a coarse grid so same-time FIFO
-//! ties are common, and a slice of events lands six orders of magnitude
-//! later so near and far-future events mix.
+//! For any interleaving of pushes, pops, and length and peek queries, the
+//! queue must pop the same events in the same `(time, insertion)` order as a
+//! flat insertion-ordered list, bit for bit, and report the same lengths and
+//! next times — including right after a pop, while the queue still holds the
+//! popped root awaiting removal. Times are drawn from a coarse grid so
+//! same-time FIFO ties are common, and a slice of events lands six orders of
+//! magnitude later so near and far-future events mix.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -16,17 +18,29 @@ use timely_sim::EventQueue;
 enum Op {
     Push { time_s: f64 },
     Pop,
+    Len,
+    PeekTime,
+}
+
+/// What one op observed: a popped `(time bits, push index)`, a length, or
+/// the bits of the next pending time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Seen {
+    Popped(u64, usize),
+    Len(usize),
+    PeekTime(Option<u64>),
 }
 
 /// A seeded workload: tie-heavy grid times, occasional far-future events,
-/// and interleaved pops.
+/// and interleaved pops and queries.
 fn workload(seed: u64, len: usize) -> Vec<Op> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..len)
-        .map(|_| {
-            if rng.gen_range(0u32..4) == 0 {
-                Op::Pop
-            } else {
+        .map(|_| match rng.gen_range(0u32..8) {
+            0 | 1 => Op::Pop,
+            2 => Op::Len,
+            3 => Op::PeekTime,
+            _ => {
                 let mut time_s = f64::from(rng.gen_range(0u32..64)) * 0.25;
                 if rng.gen_range(0u32..8) == 0 {
                     time_s *= 1e6;
@@ -38,55 +52,67 @@ fn workload(seed: u64, len: usize) -> Vec<Op> {
 }
 
 /// Replays `ops` against an [`EventQueue`]; events carry their push index
-/// so FIFO tie-breaks are observable. Returns every popped
-/// `(time bits, push index)` in pop order, including the final drain.
-fn replay(ops: &[Op]) -> Vec<(u64, usize)> {
+/// so FIFO tie-breaks are observable. Returns everything the ops observed
+/// in order, then every event of the final drain.
+fn replay(ops: &[Op]) -> Vec<Seen> {
     let mut queue: EventQueue<usize> = EventQueue::new();
-    let mut popped = Vec::new();
+    let mut seen = Vec::new();
     for (index, op) in ops.iter().enumerate() {
         match *op {
             Op::Push { time_s } => queue.push(time_s, index),
             Op::Pop => {
                 if let Some((time_s, id)) = queue.pop() {
-                    popped.push((time_s.to_bits(), id));
+                    seen.push(Seen::Popped(time_s.to_bits(), id));
                 }
             }
+            Op::Len => seen.push(Seen::Len(queue.len())),
+            Op::PeekTime => seen.push(Seen::PeekTime(queue.peek_time().map(f64::to_bits))),
         }
     }
     while let Some((time_s, id)) = queue.pop() {
-        popped.push((time_s.to_bits(), id));
+        seen.push(Seen::Popped(time_s.to_bits(), id));
     }
-    popped
+    seen
+}
+
+/// Index of the first pending element with the minimal time.
+fn first_min(pending: &[(f64, usize)]) -> Option<usize> {
+    (0..pending.len()).reduce(|best, i| {
+        if pending[i].0 < pending[best].0 {
+            i
+        } else {
+            best
+        }
+    })
 }
 
 /// Replays `ops` against the executable spec: a flat insertion-ordered
 /// list where pop removes the first element with the minimal time.
-fn replay_model(ops: &[Op]) -> Vec<(u64, usize)> {
+fn replay_model(ops: &[Op]) -> Vec<Seen> {
     let mut pending: Vec<(f64, usize)> = Vec::new();
-    let mut popped = Vec::new();
-    let pop_min = |pending: &mut Vec<(f64, usize)>, popped: &mut Vec<(u64, usize)>| {
-        let best = (0..pending.len()).reduce(|best, i| {
-            if pending[i].0 < pending[best].0 {
-                i
-            } else {
-                best
-            }
-        });
-        if let Some(best) = best {
+    let mut seen = Vec::new();
+    let pop_min = |pending: &mut Vec<(f64, usize)>, seen: &mut Vec<Seen>| {
+        if let Some(best) = first_min(pending) {
             let (time_s, id) = pending.remove(best);
-            popped.push((time_s.to_bits(), id));
+            seen.push(Seen::Popped(time_s.to_bits(), id));
         }
     };
     for (index, op) in ops.iter().enumerate() {
         match *op {
             Op::Push { time_s } => pending.push((time_s, index)),
-            Op::Pop => pop_min(&mut pending, &mut popped),
+            Op::Pop => pop_min(&mut pending, &mut seen),
+            Op::Len => seen.push(Seen::Len(pending.len())),
+            Op::PeekTime => {
+                seen.push(Seen::PeekTime(
+                    first_min(&pending).map(|best| pending[best].0.to_bits()),
+                ));
+            }
         }
     }
     while !pending.is_empty() {
-        pop_min(&mut pending, &mut popped);
+        pop_min(&mut pending, &mut seen);
     }
-    popped
+    seen
 }
 
 proptest! {
@@ -94,7 +120,7 @@ proptest! {
 
     /// The queue pops the same `(time, seq)` sequence as the flat-list
     /// executable spec, including same-time FIFO ties and far-future
-    /// events.
+    /// events, and agrees with it on every length and next time.
     #[test]
     fn pops_match_the_flat_list_spec(
         seed in 0u64..1_000_000,
@@ -119,7 +145,13 @@ proptest! {
             .into_iter()
             .filter(|op| matches!(op, Op::Push { .. }))
             .collect();
-        let popped = replay(&pushes);
+        let popped: Vec<(u64, usize)> = replay(&pushes)
+            .into_iter()
+            .filter_map(|seen| match seen {
+                Seen::Popped(time_bits, id) => Some((time_bits, id)),
+                _ => None,
+            })
+            .collect();
         for pair in popped.windows(2) {
             let (t0, id0) = pair[0];
             let (t1, id1) = pair[1];

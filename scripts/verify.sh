@@ -41,6 +41,10 @@ cargo run --release -p timely-bench --bin serving_study -- --smoke \
 cargo run --release -p timely-bench --bin dse_study -- --smoke > /dev/null
 cargo run --release -p timely-bench --bin accuracy_study -- --smoke > /dev/null
 cargo run --release -p timely-bench --bin backend_matrix > /dev/null
+# The stand-alone benchmark package pins its seed-2020 outputs
+# (standard_iterations_reproduce_the_pinned_outputs), so a speed-only change
+# that moves any simulated, explored or inferred number fails here.
+cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 # Soft perf gate: re-measure DSE/sim throughput and compare against the
 # committed BENCH_*.json baselines by ratio. Deltas are reported; only a
 # >2x slowdown fails (wall-clock noise between machines must not).
