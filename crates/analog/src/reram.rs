@@ -203,19 +203,19 @@ impl Crossbar {
             });
         }
         let mut charges = vec![0.0; self.cols];
-        for row in 0..self.rows {
-            let t_seconds = input_times[row].as_seconds();
+        for (row, time) in input_times.iter().enumerate() {
+            let t_seconds = time.as_seconds();
             // Exact-zero sentinel for "this input row is off" — an epsilon
-            // would skip real (tiny) charge times. lint:allow(float-eq)
+            // would skip real (tiny) charge times.
             if t_seconds == 0.0 {
                 continue;
             }
-            for col in 0..self.cols {
+            for (col, charge) in charges.iter_mut().enumerate() {
                 // `program`/`program_column` range-check every level, so the
                 // lookup cannot fail; propagating instead of unwrapping
                 // keeps the charge path panic-free all the same.
                 let g = self.config.conductance(self.level(row, col))?;
-                charges[col] += t_seconds * v_dd.as_volts() * g;
+                *charge += t_seconds * v_dd.as_volts() * g;
             }
         }
         Ok(charges)
@@ -236,9 +236,9 @@ impl Crossbar {
             });
         }
         let mut sums = vec![0u64; self.cols];
-        for row in 0..self.rows {
-            for col in 0..self.cols {
-                sums[col] += inputs[row] as u64 * self.level(row, col) as u64;
+        for (row, &input) in inputs.iter().enumerate() {
+            for (col, sum) in sums.iter_mut().enumerate() {
+                *sum += input as u64 * self.level(row, col) as u64;
             }
         }
         Ok(sums)

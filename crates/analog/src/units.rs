@@ -40,7 +40,7 @@ macro_rules! quantity {
             pub fn is_zero(self) -> bool {
                 // The one sanctioned exact-zero check: ±0.0 are both "no
                 // quantity", so .to_bits() would be wrong here.
-                self.0 == 0.0 // lint:allow(float-eq)
+                self.0 == 0.0
             }
         }
 
@@ -296,7 +296,7 @@ impl Resistance {
     /// Panics (in debug builds) if the resistance is zero.
     pub fn conductance_siemens(self) -> f64 {
         // Debug guard against the exact division-by-zero value, not an
-        // approximate comparison. lint:allow(float-eq)
+        // approximate comparison.
         debug_assert!(self.0 != 0.0, "conductance of a zero resistance");
         1.0 / self.0
     }

@@ -173,8 +173,10 @@ fn run_arm(screening: bool, budget: usize) -> ArmStats {
         });
     let mut explorer =
         Explorer::new(SearchSpace::production_space(), evaluator).with_screening(screening);
-    // The perf harness is the one place wall-clock readings are the point:
-    // it measures throughput for BENCH_*.json. lint:allow(wall-clock)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the perf harness is the one place wall-clock readings are the point: it measures throughput for BENCH_*.json"
+    )]
     let start = Instant::now();
     explorer.seed_config(&TimelyConfig::paper_default());
     explorer.run(&Strategy::Random {
@@ -218,7 +220,10 @@ fn measure_sim(smoke: bool) -> SimBench {
     let requests = if smoke { 200_000.0 } else { 1_000_000.0 };
     let models = [zoo::cnn_1(), zoo::mlp_l()];
     let config = TimelyConfig::paper_default();
-    // lint:allow(wall-clock) — same wall-time measurement, sim side.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "same wall-time measurement, sim side"
+    )]
     let start = Instant::now();
     let report = serving_check(&models, &config, 0.7, requests, SEED)
         .expect("paper default serves the perf workload");
@@ -272,7 +277,10 @@ fn measure_sim_large(smoke: bool) -> SimLargeArm {
         stats: StatsMode::Streaming,
         ..Scenario::default()
     };
-    // lint:allow(wall-clock) — same wall-time measurement, large arm.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "same wall-time measurement, large arm"
+    )]
     let start = Instant::now();
     let report = sim
         .run_scenario_recorded(&spec, &scenario, &mut NoopRecorder)

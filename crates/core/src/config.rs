@@ -175,7 +175,7 @@ impl TimelyConfig {
         if self.subchip_rows == 0 || self.subchip_cols == 0 {
             return invalid("sub-chip dimensions must be nonzero");
         }
-        if self.gamma == 0 || self.crossbar_size % self.gamma != 0 {
+        if self.gamma == 0 || !self.crossbar_size.is_multiple_of(self.gamma) {
             return invalid("gamma must be nonzero and divide the crossbar size");
         }
         if self.cell_bits == 0 || self.weight_bits == 0 || self.activation_bits == 0 {

@@ -74,11 +74,6 @@ impl LayerCounts {
         self.l1_input_reads + self.l1_output_writes + self.l1_psum_writes + self.l1_psum_reads
     }
 
-    /// Total interface conversions of any kind.
-    pub fn interface_conversions(&self) -> u64 {
-        self.dtc_conversions + self.tdc_conversions + self.dac_conversions + self.adc_conversions
-    }
-
     /// Sums two count records field-by-field (used to aggregate a model).
     fn accumulate(&mut self, other: &LayerCounts) {
         self.crossbars += other.crossbars;

@@ -164,6 +164,10 @@ impl ReferencePoint {
 
 /// The result of evaluating one design point.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "boxing the Feasible report would add one allocation per evaluated point on the explorer's hot path"
+)]
 pub enum PointOutcome {
     /// The point was evaluated and satisfies every constraint.
     Feasible(PointReport),

@@ -145,7 +145,6 @@ impl SearchSpace {
     }
 
     /// Total number of points (the product of the axis sizes).
-    #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
         self.axis_sizes().iter().product()
     }

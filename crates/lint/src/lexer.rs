@@ -5,8 +5,7 @@
 //! The lexer produces three things the rule engine consumes:
 //!
 //! * a flat [`Token`] stream with line numbers,
-//! * the set of `// lint:allow(rule, …)` suppression comments, keyed by the
-//!   line they appear on, and
+//! * the lines carrying a `// lint:hot` marker, and
 //! * per-token *test-region* flags: tokens inside `#[cfg(test)]` /
 //!   `#[test]`-attributed items are marked so rules that only apply to
 //!   production code can skip them.
@@ -20,10 +19,10 @@
 pub enum TokenKind {
     /// An identifier or keyword (`unwrap`, `pub`, `f64`, …).
     Ident(String),
-    /// A numeric literal, with a flag for float-ness (`1.0`, `2e-3`, `1f64`).
-    Number { is_float: bool },
-    /// A punctuation run the rules care about as a unit: `==`, `!=`, `::`,
-    /// `->`; everything else is a single character.
+    /// A numeric literal (`1.0`, `2e-3`, `1f64`, `0x1f`).
+    Number,
+    /// A punctuation run the rules care about as a unit: `::`, `->`;
+    /// everything else is a single character.
     Punct(&'static str),
     /// A single punctuation character not covered by [`TokenKind::Punct`].
     Char(char),
@@ -60,40 +59,13 @@ impl Token {
     }
 }
 
-/// An inline suppression: `// lint:allow(rule-a, rule-b)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InlineAllow {
-    /// 1-indexed line of the comment.
-    pub line: usize,
-    /// The rule names inside the parentheses, in source order.
-    pub rules: Vec<String>,
-}
-
 /// The result of lexing one file.
 #[derive(Debug, Default)]
 pub struct LexedFile {
     pub tokens: Vec<Token>,
-    pub allows: Vec<InlineAllow>,
     /// Lines carrying a `// lint:hot` marker; the item parser attaches each
     /// to the next `fn` at or below the marker.
     pub hot_markers: Vec<usize>,
-}
-
-impl LexedFile {
-    /// True when `rule` is suppressed for a violation on `line`: an allow
-    /// comment on the same line (trailing) or on the line directly above.
-    pub fn is_allowed(&self, rule: &str, line: usize) -> bool {
-        self.allow_line_for(rule, line).is_some()
-    }
-
-    /// The line of the allow comment that suppresses `rule` on `line`, if
-    /// any — used for both suppression and stale-allow accounting.
-    pub fn allow_line_for(&self, rule: &str, line: usize) -> Option<usize> {
-        self.allows
-            .iter()
-            .find(|a| (a.line == line || a.line + 1 == line) && a.rules.iter().any(|r| r == rule))
-            .map(|a| a.line)
-    }
 }
 
 /// Marker state while scanning for test regions.
@@ -104,7 +76,7 @@ struct TestRegion {
     close_at_depth: usize,
 }
 
-/// Lexes `source`, producing the token stream and inline allows.
+/// Lexes `source`, producing the token stream and hot markers.
 pub fn lex(source: &str) -> LexedFile {
     let mut out = LexedFile::default();
     let bytes: Vec<char> = source.chars().collect();
@@ -120,9 +92,9 @@ pub fn lex(source: &str) -> LexedFile {
                 i += 1;
             }
             c if c.is_whitespace() => i += 1,
-            // Line comment — harvest lint:allow / lint:hot markers. Doc
-            // comments (`///`, `//!`) are prose: a rendered mention of the
-            // marker syntax must not count as a live suppression.
+            // Line comment — harvest lint:hot markers. Doc comments (`///`,
+            // `//!`) are prose: a rendered mention of the marker syntax must
+            // not mark a function hot.
             '/' if i + 1 < len && bytes[i + 1] == '/' => {
                 let start = i;
                 let is_doc = i + 2 < len && (bytes[i + 2] == '/' || bytes[i + 2] == '!');
@@ -131,9 +103,6 @@ pub fn lex(source: &str) -> LexedFile {
                 }
                 if !is_doc {
                     let text: String = bytes[start..i].iter().collect();
-                    if let Some(allow) = parse_allow_comment(&text, line) {
-                        out.allows.push(allow);
-                    }
                     if text.contains("lint:hot") {
                         out.hot_markers.push(line);
                     }
@@ -261,9 +230,9 @@ pub fn lex(source: &str) -> LexedFile {
                 }
             }
             c if c.is_ascii_digit() => {
-                let (next, is_float) = scan_number(&bytes, i);
+                let next = scan_number(&bytes, i);
                 out.tokens.push(Token {
-                    kind: TokenKind::Number { is_float },
+                    kind: TokenKind::Number,
                     line,
                     in_test: false,
                 });
@@ -286,8 +255,6 @@ pub fn lex(source: &str) -> LexedFile {
             _ => {
                 let two: Option<&'static str> = if i + 1 < len {
                     match (c, bytes[i + 1]) {
-                        ('=', '=') => Some("=="),
-                        ('!', '=') => Some("!="),
                         (':', ':') => Some("::"),
                         ('-', '>') => Some("->"),
                         _ => None,
@@ -352,18 +319,18 @@ fn is_char_literal(bytes: &[char], i: usize) -> bool {
     i + 2 < bytes.len() && bytes[i + 2] == '\''
 }
 
-/// Scans a numeric literal starting at `i`; returns (next index, is_float).
-fn scan_number(bytes: &[char], i: usize) -> (usize, bool) {
+/// Scans a numeric literal starting at `i`; returns the index past it.
+fn scan_number(bytes: &[char], i: usize) -> usize {
     let len = bytes.len();
     let mut j = i;
-    let mut is_float = false;
-    // Hex/octal/binary literals are never floats.
+    // Hex/octal/binary literals have no fraction or exponent (`0x1e` is
+    // not `1e…`).
     if bytes[j] == '0' && j + 1 < len && matches!(bytes[j + 1], 'x' | 'o' | 'b') {
         j += 2;
         while j < len && (bytes[j].is_ascii_alphanumeric() || bytes[j] == '_') {
             j += 1;
         }
-        return (j, false);
+        return j;
     }
     while j < len && (bytes[j].is_ascii_digit() || bytes[j] == '_') {
         j += 1;
@@ -371,7 +338,6 @@ fn scan_number(bytes: &[char], i: usize) -> (usize, bool) {
     // A dot continues the number only when followed by a digit (so `0..10`
     // ranges and `1.max(2)` method calls stay integers).
     if j + 1 < len && bytes[j] == '.' && bytes[j + 1].is_ascii_digit() {
-        is_float = true;
         j += 1;
         while j < len && (bytes[j].is_ascii_digit() || bytes[j] == '_') {
             j += 1;
@@ -384,7 +350,6 @@ fn scan_number(bytes: &[char], i: usize) -> (usize, bool) {
             k += 1;
         }
         if k < len && bytes[k].is_ascii_digit() {
-            is_float = true;
             j = k;
             while j < len && (bytes[j].is_ascii_digit() || bytes[j] == '_') {
                 j += 1;
@@ -392,34 +357,10 @@ fn scan_number(bytes: &[char], i: usize) -> (usize, bool) {
         }
     }
     // Type suffix (`1f64`, `2.5f32`, `3u8`).
-    if j < len && bytes[j].is_ascii_alphabetic() {
-        let start = j;
-        while j < len && (bytes[j].is_ascii_alphanumeric() || bytes[j] == '_') {
-            j += 1;
-        }
-        let suffix: String = bytes[start..j].iter().collect();
-        if suffix == "f32" || suffix == "f64" {
-            is_float = true;
-        }
+    while j < len && (bytes[j].is_ascii_alphanumeric() || bytes[j] == '_') {
+        j += 1;
     }
-    (j, is_float)
-}
-
-/// Parses a `// lint:allow(rule-a, rule-b)` comment, if that is what the
-/// comment says (anywhere after the slashes, so trailing prose is fine).
-fn parse_allow_comment(text: &str, line: usize) -> Option<InlineAllow> {
-    let idx = text.find("lint:allow(")?;
-    let rest = &text[idx + "lint:allow(".len()..];
-    let close = rest.find(')')?;
-    let rules: Vec<String> = rest[..close]
-        .split(',')
-        .map(|r| r.trim().to_string())
-        .filter(|r| !r.is_empty())
-        .collect();
-    if rules.is_empty() {
-        return None;
-    }
-    Some(InlineAllow { line, rules })
+    j
 }
 
 /// Marks tokens inside `#[cfg(test)]` / `#[test]` items as test code.
@@ -523,28 +464,22 @@ mod tests {
     }
 
     #[test]
-    fn numbers_classify_floats() {
-        let file = lex("let a = 1.0; let b = 0..10; let c = 2e-3; let d = 1f64; let e = 0x1f;");
-        let floats: Vec<bool> = file
+    fn numbers_lex_as_single_tokens() {
+        // `1.0`, `0`, `.`, `.`, `10`, `2e-3`, `1f64`, `0x1e`, `1`, `.`, `max`.
+        let file = lex("1.0 0..10 2e-3 1f64 0x1e 1.max");
+        let kinds: Vec<&str> = file
             .tokens
             .iter()
-            .filter_map(|t| match t.kind {
-                TokenKind::Number { is_float } => Some(is_float),
-                _ => None,
+            .map(|t| match &t.kind {
+                TokenKind::Number => "n",
+                TokenKind::Ident(_) => "i",
+                _ => "p",
             })
             .collect();
-        assert_eq!(floats, vec![true, false, false, true, true, false]);
-    }
-
-    #[test]
-    fn allow_comments_are_harvested() {
-        let file = lex("let x = 1; // lint:allow(wall-clock, panic) timing harness\n");
-        assert_eq!(file.allows.len(), 1);
-        assert_eq!(file.allows[0].rules, vec!["wall-clock", "panic"]);
-        assert!(file.is_allowed("panic", 1));
-        assert!(file.is_allowed("panic", 2)); // line below the comment
-        assert!(!file.is_allowed("panic", 3));
-        assert!(!file.is_allowed("float-eq", 1));
+        assert_eq!(
+            kinds,
+            vec!["n", "n", "p", "p", "n", "n", "n", "n", "n", "p", "i"]
+        );
     }
 
     #[test]
@@ -555,9 +490,8 @@ mod tests {
 
     #[test]
     fn doc_comments_do_not_carry_markers() {
-        let src = "/// A `// lint:allow(panic)` mention.\n//! Also `lint:hot` prose.\nfn f() {}\n";
+        let src = "/// A `// lint:hot` mention.\n//! Also `lint:hot` prose.\nfn f() {}\n";
         let file = lex(src);
-        assert!(file.allows.is_empty());
         assert!(file.hot_markers.is_empty());
     }
 

@@ -1,132 +1,54 @@
 //! The `timely-lint` gate binary.
 //!
 //! ```text
-//! timely-lint [--root DIR] [--fix-hints] [--rules] [--list-files]
-//!             [--json] [--stale-allows]
+//! timely-lint [--root DIR] [--rules]
 //! ```
 //!
-//! Reads `<root>/lint.toml`, lints every configured `.rs` file, prints the
-//! deterministic report to stdout, and exits nonzero when any unsuppressed
-//! violation exists or the suppression budget is violated in either
-//! direction (exit 2 for usage/config/IO errors). `--fix-hints` appends the
-//! suggested rewrite under each violation. `--json` emits the
-//! machine-readable report (byte-identical across runs). `--stale-allows`
-//! reports suppressions that matched nothing and fails when any exist.
+//! Lints every `.rs` file under the workspace's scan roots, prints each
+//! violation with its suggested rewrite, and exits nonzero when any
+//! violation exists or the `#[expect]` count drifts from the committed
+//! budget in either direction (exit 2 for usage and I/O errors). `--rules`
+//! lists the rule families.
 
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 /// Writes to stdout, tolerating a closed pipe (`timely-lint --rules | head`
-/// must not panic — the linter holds itself to its own panic-freedom rule).
+/// must not panic — the linter is held to the workspace's panic lints).
 fn emit(text: &str) {
     let _ = std::io::stdout().write_all(text.as_bytes());
 }
 
-struct Options {
-    root: PathBuf,
-    fix_hints: bool,
-    list_rules: bool,
-    list_files: bool,
-    json: bool,
-    stale_allows: bool,
-}
-
-fn parse_args() -> Result<Options, String> {
-    let mut options = Options {
-        root: PathBuf::from("."),
-        fix_hints: false,
-        list_rules: false,
-        list_files: false,
-        json: false,
-        stale_allows: false,
-    };
+fn main() -> ExitCode {
+    let mut root = PathBuf::from(".");
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--root" => match args.next() {
-                Some(dir) => options.root = PathBuf::from(dir),
-                None => return Err("--root requires a directory argument".to_string()),
+                Some(dir) => root = PathBuf::from(dir),
+                None => {
+                    eprintln!("timely-lint: --root requires a directory argument");
+                    return ExitCode::from(2);
+                }
             },
-            "--fix-hints" => options.fix_hints = true,
-            "--rules" => options.list_rules = true,
-            "--list-files" => options.list_files = true,
-            "--json" => options.json = true,
-            "--stale-allows" => options.stale_allows = true,
-            "--help" | "-h" => {
-                return Err(
-                    "usage: timely-lint [--root DIR] [--fix-hints] [--rules] [--list-files] [--json] [--stale-allows]"
-                        .to_string(),
-                )
-            }
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    Ok(options)
-}
-
-fn main() -> ExitCode {
-    let options = match parse_args() {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("timely-lint: {message}");
-            return ExitCode::from(2);
-        }
-    };
-
-    if options.list_rules {
-        for (rule, description) in timely_lint::rules::RULES {
-            emit(&format!("{rule}: {description}\n"));
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    let config = match timely_lint::load_config(&options.root) {
-        Ok(config) => config,
-        Err(err) => {
-            eprintln!("timely-lint: {err}");
-            return ExitCode::from(2);
-        }
-    };
-
-    if options.list_files {
-        match timely_lint::collect_files(&options.root, &config) {
-            Ok(files) => {
-                for file in files {
-                    emit(&format!(
-                        "{}\n",
-                        timely_lint::relative_path(&options.root, &file)
-                    ));
+            "--rules" => {
+                for (rule, description) in timely_lint::rules::RULES {
+                    emit(&format!("{rule}: {description}\n"));
                 }
                 return ExitCode::SUCCESS;
             }
-            Err(err) => {
-                eprintln!("timely-lint: {err}");
+            other => {
+                eprintln!("timely-lint: unknown argument `{other}`; usage: timely-lint [--root DIR] [--rules]");
                 return ExitCode::from(2);
             }
         }
     }
 
-    match timely_lint::lint_workspace(&options.root, &config) {
+    match timely_lint::lint_workspace(&root) {
         Ok(report) => {
-            if options.stale_allows {
-                emit(&report.render_stale());
-                return if report.stale.is_empty() {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                };
-            }
-            if options.json {
-                emit(&timely_lint::report::render_json(&report));
-            } else {
-                emit(&report.render(options.fix_hints));
-            }
-            let budget_ok = matches!(
-                report.budget_verdict(),
-                timely_lint::BudgetVerdict::Unset | timely_lint::BudgetVerdict::Ok
-            );
-            if report.is_clean() && budget_ok {
+            emit(&report.render());
+            if report.is_clean() && report.budget_holds() {
                 ExitCode::SUCCESS
             } else {
                 ExitCode::FAILURE

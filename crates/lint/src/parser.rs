@@ -1,194 +1,66 @@
 //! A hand-rolled item-level parser on top of the lexer: extracts `fn`
-//! signatures (name, visibility, parameters, body token range) together
-//! with their `impl`/`trait` context, and attaches `// lint:hot` markers.
+//! signatures (name, visibility, parameters, body token range) and attaches
+//! `// lint:hot` markers.
 //!
 //! This is not a Rust parser — it recognizes exactly the item structure the
-//! interprocedural rules need and skips everything else token by token.
+//! item-level rules need and skips everything else token by token.
 //! Unrecognized constructs degrade safely: a signature the parser cannot
 //! follow yields no item (and therefore no findings) rather than a wrong
 //! one.
 
-use crate::items::{FnItem, Param};
 use crate::lexer::{LexedFile, Token};
 
-/// Parses every function item in a lexed file.
+/// One function parameter, as parsed from the signature.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Param {
+    /// The binding name (`energy`, `latency_ms`, …; patterns reduce to the
+    /// last identifier before the `:`).
+    pub name: String,
+    /// 1-indexed line of the parameter name.
+    pub line: usize,
+    /// True when the declared type is a bare `f64`/`f32` (possibly behind
+    /// `&`/`mut`) — the raw floats unit discipline applies to.
+    pub is_raw_float: bool,
+    /// The head identifier of the type, for messages (`f64`, `Vec`, …).
+    pub ty_name: String,
+}
+
+/// One parsed `fn` item (free function or method alike).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FnItem {
+    /// The function's simple name.
+    pub name: String,
+    /// True when the declaration carries `pub` (any visibility qualifier).
+    pub is_pub: bool,
+    /// True when the `fn` token sits inside a `#[cfg(test)]`/`#[test]`
+    /// region.
+    pub is_test: bool,
+    /// True when a `// lint:hot` marker precedes the function.
+    pub is_hot: bool,
+    /// 1-indexed line of the `fn` keyword.
+    pub line: usize,
+    /// Parsed parameters (the `self` receiver is omitted).
+    pub params: Vec<Param>,
+    /// Token-index range of the body including both braces, when the item
+    /// has one (trait declarations and extern items do not).
+    pub body: Option<(usize, usize)>,
+}
+
+/// Parses every function item in a lexed file, nested ones included, in
+/// source order.
 pub fn parse_items(lexed: &LexedFile) -> Vec<FnItem> {
-    let mut items = Vec::new();
-    parse_block(&lexed.tokens, 0, lexed.tokens.len(), None, None, &mut items);
-    items.sort_by_key(|item| item.line);
+    let tokens = &lexed.tokens;
+    let mut items: Vec<FnItem> = (0..tokens.len())
+        .filter(|&i| tokens[i].ident() == "fn")
+        .filter_map(|i| parse_fn(tokens, i, tokens.len()))
+        .collect();
     attach_hot_markers(&mut items, &lexed.hot_markers);
     items
 }
 
-/// Scans `tokens[start..end]` for items, descending into `impl`, `trait`,
-/// `mod`, and `fn` bodies. `self_type`/`trait_name` carry the enclosing
-/// impl context.
-fn parse_block(
-    tokens: &[Token],
-    start: usize,
-    end: usize,
-    self_type: Option<&str>,
-    trait_name: Option<&str>,
-    out: &mut Vec<FnItem>,
-) {
-    let mut i = start;
-    while i < end {
-        match tokens[i].ident() {
-            "impl" => {
-                if let Some(header) = parse_impl_header(tokens, i, end) {
-                    parse_block(
-                        tokens,
-                        header.body_open + 1,
-                        header.body_close,
-                        header.self_type.as_deref(),
-                        header.trait_name.as_deref(),
-                        out,
-                    );
-                    i = header.body_close + 1;
-                } else {
-                    i += 1;
-                }
-            }
-            "trait" => {
-                let name = tokens.get(i + 1).map(|t| t.ident().to_string());
-                match (name, find_punct(tokens, i, end, "{")) {
-                    (Some(name), Some(open)) if !name.is_empty() => {
-                        match match_brace(tokens, open, end) {
-                            Some(close) => {
-                                parse_block(tokens, open + 1, close, Some(&name), None, out);
-                                i = close + 1;
-                            }
-                            None => i += 1,
-                        }
-                    }
-                    _ => i += 1,
-                }
-            }
-            "mod" => {
-                // `mod name { … }` keeps the enclosing context; `mod name;`
-                // is skipped.
-                match find_punct_or_semi(tokens, i, end) {
-                    Some((open, true)) => match match_brace(tokens, open, end) {
-                        Some(close) => {
-                            parse_block(tokens, open + 1, close, self_type, trait_name, out);
-                            i = close + 1;
-                        }
-                        None => i += 1,
-                    },
-                    _ => i += 1,
-                }
-            }
-            "fn" if is_fn_item_position(tokens, i) => {
-                match parse_fn(tokens, i, end, self_type, trait_name) {
-                    Some((item, next)) => {
-                        let body = item.body;
-                        out.push(item);
-                        // Nested named fns are free functions of the
-                        // enclosing module, not methods.
-                        if let Some((open, close)) = body {
-                            parse_block(tokens, open + 1, close, None, None, out);
-                        }
-                        i = next;
-                    }
-                    None => i += 1,
-                }
-            }
-            _ => i += 1,
-        }
-    }
-}
-
-struct ImplHeader {
-    self_type: Option<String>,
-    trait_name: Option<String>,
-    body_open: usize,
-    body_close: usize,
-}
-
-/// Parses `impl … {`: handles `impl Type`, `impl<T> Type<T>`,
-/// `impl Trait for Type`, and `where` clauses. The self type is the last
-/// plain path segment before generics; the trait (when present) likewise.
-fn parse_impl_header(tokens: &[Token], i: usize, end: usize) -> Option<ImplHeader> {
-    let mut j = i + 1;
-    // Skip impl generics `<…>`.
-    if tokens.get(j).is_some_and(|t| t.is_punct("<")) {
-        j = skip_angles(tokens, j, end)?;
-    }
-    // Collect path segments until `for`, `where`, or `{`.
-    let mut first_path: Vec<String> = Vec::new();
-    let mut second_path: Vec<String> = Vec::new();
-    let mut saw_for = false;
-    let mut angle = 0usize;
-    while j < end {
-        let t = &tokens[j];
-        if angle == 0 && t.is_punct("{") {
-            let close = match_brace(tokens, j, end)?;
-            let (trait_name, self_type) = if saw_for {
-                (first_path.last().cloned(), second_path.last().cloned())
-            } else {
-                (None, first_path.last().cloned())
-            };
-            return Some(ImplHeader {
-                self_type,
-                trait_name,
-                body_open: j,
-                body_close: close,
-            });
-        }
-        if t.is_punct("<") {
-            angle += 1;
-        } else if t.is_punct(">") {
-            angle = angle.saturating_sub(1);
-        } else if angle == 0 && t.ident() == "where" {
-            // `where` bounds carry no braces before the body; idents inside
-            // them must not contaminate the paths.
-            while j < end && !tokens[j].is_punct("{") {
-                j += 1;
-            }
-            continue;
-        } else if angle == 0 && t.ident() == "for" && !next_is(tokens, j, "<") {
-            saw_for = true;
-        } else if angle == 0 && !t.ident().is_empty() && t.ident() != "dyn" {
-            if saw_for {
-                second_path.push(t.ident().to_string());
-            } else {
-                first_path.push(t.ident().to_string());
-            }
-        }
-        j += 1;
-    }
-    None
-}
-
-/// True when the `fn` at `i` declares an item (not a `fn(...)` pointer
-/// type): pointer types are preceded by type-position punctuation.
-fn is_fn_item_position(tokens: &[Token], i: usize) -> bool {
-    if i == 0 {
-        return true;
-    }
-    let prev = &tokens[i - 1];
-    if prev.ident() == "dyn" {
-        return false;
-    }
-    !(prev.is_punct("&")
-        || prev.is_punct("(")
-        || prev.is_punct("<")
-        || prev.is_punct(",")
-        || prev.is_punct(":")
-        || prev.is_punct("=")
-        || prev.is_punct("|")
-        || prev.is_punct("->"))
-}
-
-/// Parses one `fn` item starting at the `fn` keyword. Returns the item and
-/// the index to resume scanning at (past the body or the `;`).
-fn parse_fn(
-    tokens: &[Token],
-    i: usize,
-    end: usize,
-    self_type: Option<&str>,
-    trait_name: Option<&str>,
-) -> Option<(FnItem, usize)> {
+/// Parses one `fn` item starting at the `fn` keyword. A `fn(…)` pointer
+/// type has no name after the keyword and yields `None`.
+fn parse_fn(tokens: &[Token], i: usize, end: usize) -> Option<FnItem> {
     let name_tok = tokens.get(i + 1)?;
     let name = name_tok.ident().to_string();
     if name.is_empty() {
@@ -218,24 +90,20 @@ fn parse_fn(
         }
         k += 1;
     }
-    let (body, next) = if tokens.get(k).is_some_and(|t| t.is_punct("{")) {
-        let close = match_brace(tokens, k, end)?;
-        (Some((k, close)), close + 1)
+    let body = if tokens.get(k).is_some_and(|t| t.is_punct("{")) {
+        Some((k, match_brace(tokens, k, end)?))
     } else {
-        (None, (k + 1).min(end))
+        None
     };
-    let item = FnItem {
+    Some(FnItem {
         name,
-        self_type: self_type.map(str::to_string),
-        trait_name: trait_name.map(str::to_string),
         is_pub: leading_pub(tokens, i),
         is_test: tokens[i].in_test,
         is_hot: false,
         line: tokens[i].line,
         params,
         body,
-    };
-    Some((item, next))
+    })
 }
 
 /// Splits a parameter-list token slice at top-level commas and extracts
@@ -347,61 +215,29 @@ fn attach_hot_markers(items: &mut [FnItem], markers: &[usize]) {
     }
 }
 
-fn next_is(tokens: &[Token], i: usize, p: &str) -> bool {
-    tokens.get(i + 1).is_some_and(|t| t.is_punct(p))
-}
-
-fn find_punct(tokens: &[Token], from: usize, end: usize, p: &str) -> Option<usize> {
-    (from..end).find(|&k| tokens[k].is_punct(p))
-}
-
-/// Finds the first `{` or `;` after `from`; the bool is true for `{`.
-fn find_punct_or_semi(tokens: &[Token], from: usize, end: usize) -> Option<(usize, bool)> {
-    (from..end).find_map(|k| {
-        if tokens[k].is_punct("{") {
-            Some((k, true))
-        } else if tokens[k].is_punct(";") {
-            Some((k, false))
-        } else {
-            None
-        }
-    })
-}
-
 /// Matches the `{` at `open` to its closing `}`.
 pub fn match_brace(tokens: &[Token], open: usize, end: usize) -> Option<usize> {
     match_group(tokens, open, end, "{", "}")
 }
 
+/// Matches the opener `o` at `open` to its closer `c` within `..end`.
 fn match_group(tokens: &[Token], open: usize, end: usize, o: &str, c: &str) -> Option<usize> {
     let mut depth = 0usize;
-    for k in open..end {
-        if tokens[k].is_punct(o) {
+    let offset = tokens.get(open..end)?.iter().position(|t| {
+        if t.is_punct(o) {
             depth += 1;
-        } else if tokens[k].is_punct(c) {
+        } else if t.is_punct(c) {
             depth -= 1;
-            if depth == 0 {
-                return Some(k);
-            }
+            return depth == 0;
         }
-    }
-    None
+        false
+    })?;
+    Some(open + offset)
 }
 
 /// Skips a matched `<…>` starting at `open`; returns the index after `>`.
 fn skip_angles(tokens: &[Token], open: usize, end: usize) -> Option<usize> {
-    let mut depth = 0usize;
-    for k in open..end {
-        if tokens[k].is_punct("<") {
-            depth += 1;
-        } else if tokens[k].is_punct(">") {
-            depth -= 1;
-            if depth == 0 {
-                return Some(k + 1);
-            }
-        }
-    }
-    None
+    Some(match_group(tokens, open, end, "<", ">")? + 1)
 }
 
 #[cfg(test)]
@@ -414,7 +250,7 @@ mod tests {
     }
 
     #[test]
-    fn free_and_method_fns_are_qualified() {
+    fn free_and_method_fns_are_parsed() {
         let src = r#"
             pub fn free(x: u32) -> u32 { x }
             struct Calendar;
@@ -427,13 +263,10 @@ mod tests {
             }
         "#;
         let items = parse(src);
-        let quals: Vec<String> = items.iter().map(|i| i.qualified()).collect();
-        assert_eq!(
-            quals,
-            vec!["free", "Calendar::push", "Calendar::pop", "Calendar::fmt"]
-        );
-        assert_eq!(items[3].trait_name.as_deref(), Some("Display"));
+        let names: Vec<&str> = items.iter().map(|i| i.name.as_str()).collect();
+        assert_eq!(names, vec!["free", "push", "pop", "fmt"]);
         assert!(items[0].is_pub && items[1].is_pub && !items[2].is_pub);
+        assert_eq!(items[1].params[0].name, "t");
     }
 
     #[test]
@@ -451,12 +284,12 @@ mod tests {
         "#;
         let items = parse(src);
         assert_eq!(items.len(), 2);
-        assert_eq!(items[0].qualified(), "Run::execute");
+        assert_eq!(items[0].name, "execute");
         assert!(items[0].is_pub);
         assert_eq!(items[0].params.len(), 1);
         assert_eq!(items[0].params[0].name, "x");
         assert!(!items[0].params[0].is_raw_float);
-        assert_eq!(items[1].qualified(), "inner");
+        assert_eq!(items[1].name, "inner");
         assert!(items[1].params[0].is_raw_float);
     }
 
@@ -493,7 +326,7 @@ mod tests {
         "#;
         let items = parse(src);
         assert_eq!(items.len(), 2);
-        assert_eq!(items[0].qualified(), "Backend::evaluate");
+        assert_eq!(items[0].name, "evaluate");
         assert!(items[0].body.is_none());
         assert!(items[1].body.is_some());
     }

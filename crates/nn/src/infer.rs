@@ -76,7 +76,7 @@ impl NoiseModel {
     /// Whether the model injects any noise at all.
     pub fn is_ideal(&self) -> bool {
         // Exact-zero sentinel: sigma-is-off, not sigma-is-small.
-        self.psum_sigma_lsb == 0.0 && self.input_sigma_lsb == 0.0 // lint:allow(float-eq)
+        self.psum_sigma_lsb == 0.0 && self.input_sigma_lsb == 0.0
     }
 }
 

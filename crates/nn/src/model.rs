@@ -226,6 +226,10 @@ impl ModelBuilder {
     }
 
     /// Appends an element-wise addition (residual shortcut).
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "a by-value builder step named after the layer it appends; ModelBuilder is not a number and has no + operator"
+    )]
     pub fn add(self, name: impl Into<String>) -> Self {
         self.layer(Layer::elementwise_add(name))
     }

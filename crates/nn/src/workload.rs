@@ -174,6 +174,10 @@ impl ModelWorkload {
     ///
     /// Never panics for models constructed through [`Model::new`] /
     /// [`crate::ModelBuilder::build`], which validate their shape chain.
+    #[expect(
+        clippy::expect_used,
+        reason = "analyze() is the validated-model fast path; try_analyze is the fallible API"
+    )]
     pub fn analyze(model: &Model) -> Self {
         Self::try_analyze(model).expect("validated models always analyze cleanly")
     }
@@ -286,16 +290,6 @@ impl ModelWorkload {
         self.layers.iter().map(|l| l.weights).sum()
     }
 
-    /// Total unique input elements across all weighted layers.
-    pub fn total_unique_inputs(&self) -> u64 {
-        self.layers.iter().map(LayerWorkload::unique_inputs).sum()
-    }
-
-    /// Total unique output elements across all weighted layers.
-    pub fn total_unique_outputs(&self) -> u64 {
-        self.layers.iter().map(LayerWorkload::unique_outputs).sum()
-    }
-
     /// Total shared-row input accesses over CONV layers (Fig. 4(a), inputs).
     pub fn conv_input_accesses(&self, b: usize) -> u64 {
         self.conv_layers()
@@ -306,16 +300,6 @@ impl ModelWorkload {
     /// Total Psum accesses over CONV layers (Fig. 4(a), Psums).
     pub fn conv_psum_accesses(&self, b: usize) -> u64 {
         self.conv_layers().map(|l| l.psum_accesses(b)).sum()
-    }
-
-    /// Geometric-mean input-reuse factor over CONV layers.
-    pub fn mean_input_reuse(&self) -> f64 {
-        let convs: Vec<_> = self.conv_layers().collect();
-        if convs.is_empty() {
-            return 0.0;
-        }
-        let log_sum: f64 = convs.iter().map(|l| l.input_reuse_factor().ln()).sum();
-        (log_sum / convs.len() as f64).exp()
     }
 
     /// Whether the full model (weights) fits in `capacity_weights` crossbar

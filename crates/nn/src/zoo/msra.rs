@@ -29,6 +29,10 @@ struct MsraConfig {
     stage_channels: [usize; 3],
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "static zoo definitions are internally consistent; covered by zoo tests"
+)]
 fn msra_from_config(cfg: &MsraConfig) -> Model {
     let mut builder = ModelBuilder::new(cfg.name, FeatureMap::new(3, 224, 224))
         // 7x7/2 stem: 224 -> 112, then pooled to 56.

@@ -27,6 +27,10 @@ fn head(builder: ModelBuilder, in_features: usize) -> ModelBuilder {
 }
 
 /// Builds a ResNet with basic (two 3×3 convolution) blocks.
+#[expect(
+    clippy::expect_used,
+    reason = "static zoo definitions are internally consistent; covered by zoo tests"
+)]
 fn resnet_basic(name: &str, blocks_per_stage: [usize; 4]) -> Model {
     let mut builder = stem(ModelBuilder::new(name, FeatureMap::new(3, 224, 224)));
     let mut in_channels = 64;
@@ -63,6 +67,10 @@ fn resnet_basic(name: &str, blocks_per_stage: [usize; 4]) -> Model {
 }
 
 /// Builds a ResNet with bottleneck (1×1 → 3×3 → 1×1, 4× expansion) blocks.
+#[expect(
+    clippy::expect_used,
+    reason = "static zoo definitions are internally consistent; covered by zoo tests"
+)]
 fn resnet_bottleneck(name: &str, blocks_per_stage: [usize; 4]) -> Model {
     const EXPANSION: usize = 4;
     let mut builder = stem(ModelBuilder::new(name, FeatureMap::new(3, 224, 224)));

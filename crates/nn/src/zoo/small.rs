@@ -12,6 +12,10 @@ use crate::shape::FeatureMap;
 
 /// CNN-1: a LeNet-style convolutional network for MNIST
 /// (`conv5x5-6 → pool → conv5x5-16 → pool → fc-120 → fc-84 → fc-10`).
+#[expect(
+    clippy::expect_used,
+    reason = "static zoo definitions are internally consistent; covered by zoo tests"
+)]
 pub fn cnn_1() -> Model {
     ModelBuilder::new("CNN-1", FeatureMap::new(1, 28, 28))
         .conv_relu("conv1", ConvSpec::new(1, 6, 5, 1, 2))
@@ -26,6 +30,10 @@ pub fn cnn_1() -> Model {
 }
 
 /// MLP-L: PRIME's large MNIST perceptron (`784 → 1500 → 1000 → 500 → 10`).
+#[expect(
+    clippy::expect_used,
+    reason = "static zoo definitions are internally consistent; covered by zoo tests"
+)]
 pub fn mlp_l() -> Model {
     ModelBuilder::new("MLP-L", FeatureMap::vector(784))
         .fc_relu("fc1", FcSpec::new(784, 1500))

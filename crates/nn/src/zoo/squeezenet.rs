@@ -35,6 +35,10 @@ fn fire(
 }
 
 /// SqueezeNet v1.0: ~0.86 GMACs, ~1.25 M parameters, 1000-way classifier.
+#[expect(
+    clippy::expect_used,
+    reason = "static zoo definitions are internally consistent; covered by zoo tests"
+)]
 pub fn squeezenet() -> Model {
     let mut b = ModelBuilder::new("SqueezeNet", FeatureMap::new(3, 224, 224))
         .conv_relu("conv1", ConvSpec::new(3, 96, 7, 2, 2))

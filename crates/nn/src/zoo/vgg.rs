@@ -18,6 +18,10 @@ use crate::shape::FeatureMap;
 /// Per-block configuration: `(number of 3x3 convs, number of 1x1 convs, output channels)`.
 type Block = (usize, usize, usize);
 
+#[expect(
+    clippy::expect_used,
+    reason = "static zoo definitions are internally consistent; covered by zoo tests"
+)]
 fn vgg_from_blocks(name: &str, blocks: &[Block]) -> Model {
     let mut builder = ModelBuilder::new(name, FeatureMap::new(3, 224, 224));
     let mut in_channels = 3;

@@ -9,10 +9,10 @@
 //!   trace export is identical across runs and machines; pinning them with
 //!   golden files is sound.
 //! * **Opt-in wall-clock profiling** — the [`Profiler`] in [`profiler`], the
-//!   single module of the workspace allowed to read the wall clock (the
-//!   committed `lint.toml` scopes the `wall-clock` allow to that file
-//!   alone). Its output is machine-dependent by design and must never feed a
-//!   pinned artifact.
+//!   single library module of the workspace allowed to read the wall clock
+//!   (its `Instant::now` calls are the only library sites that carry an
+//!   `#[expect(clippy::disallowed_methods)]`). Its output is
+//!   machine-dependent by design and must never feed a pinned artifact.
 //!
 //! The engines are instrumented through the [`Recorder`] trait, whose
 //! methods default to inlined no-ops: a hot loop generic over `R: Recorder`

@@ -1,10 +1,11 @@
 //! Opt-in **wall-clock** profiling — the other time domain.
 //!
 //! This is the single module in the workspace (outside the perf harness's
-//! own timing loops) that reads the wall clock; the committed `lint.toml`
-//! carries the scoped `wall-clock` allow for exactly this file. Everything
-//! here is machine-dependent by construction: use it for phase breakdowns
-//! next to `BENCH_*.json` numbers, never for anything golden-pinned.
+//! own timing loops) that reads the wall clock; its two `Instant::now` calls
+//! carry the workspace's only library `#[expect(clippy::disallowed_methods)]`
+//! attributes. Everything here is machine-dependent by construction: use it
+//! for phase breakdowns next to `BENCH_*.json` numbers, never for anything
+//! golden-pinned.
 //!
 //! The [`Profiler`] sits behind an explicit constructor
 //! ([`Profiler::start`], no `Default`), so a wall-clock reading is always a
@@ -37,6 +38,10 @@ impl Profiler {
     /// Starts profiling now. The explicit constructor is the module's
     /// contract: wall-clock time enters a program through this call and
     /// nowhere else.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the profiling time domain lives here by design: Profiler is the workspace's single wall-clock entry point, opt-in behind an explicit constructor and never on a golden-output path"
+    )]
     pub fn start() -> Self {
         Self {
             epoch: Instant::now(),
@@ -46,6 +51,10 @@ impl Profiler {
     }
 
     /// Opens a named phase, closing the previous one if still open.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the profiling time domain lives here by design: Profiler is the workspace's single wall-clock entry point, opt-in behind an explicit constructor and never on a golden-output path"
+    )]
     pub fn begin_phase(&mut self, name: &str) {
         self.end_phase();
         self.open = Some((name.to_string(), Instant::now()));

@@ -76,12 +76,6 @@ impl TraceRecorder {
         &self.metrics
     }
 
-    /// Mutable access to the metrics registry (e.g. to pre-register
-    /// histograms with custom edges, or to fold in engine stats).
-    pub fn metrics_mut(&mut self) -> &mut MetricsRegistry {
-        &mut self.metrics
-    }
-
     /// The recorded spans, in recording order.
     pub fn spans(&self) -> &[SpanRecord] {
         &self.spans

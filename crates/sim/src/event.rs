@@ -292,7 +292,7 @@ mod tests {
     }
 
     #[test]
-    fn far_future_events_survive_the_overflow_list() {
+    fn times_nine_orders_of_magnitude_apart_pop_in_order() {
         // Times nine orders of magnitude apart still pop in order.
         let mut q = EventQueue::new();
         q.push(1e9, 1);
@@ -305,7 +305,7 @@ mod tests {
     }
 
     #[test]
-    fn growth_rebuilds_keep_sorted_order() {
+    fn ten_thousand_scrambled_times_pop_sorted() {
         let mut q = EventQueue::new();
         // A deterministic scramble of 10k distinct times.
         let times: Vec<f64> = (0..10_000u64)
@@ -325,7 +325,7 @@ mod tests {
     }
 
     #[test]
-    fn all_equal_times_drain_in_fifo_order_across_rebuilds() {
+    fn all_equal_times_drain_in_fifo_order() {
         // 400 events at one instant: the zero-span shape of a closed loop
         // whose clients are all seeded at t=0.
         let mut q = EventQueue::new();

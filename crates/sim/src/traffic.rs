@@ -69,13 +69,17 @@ impl ArrivalProcess {
                 mean_burst_s,
                 mean_quiet_s,
             } => {
-                if !(base_rate > 0.0 && base_rate.is_finite())
-                    || !(burst_rate > 0.0 && burst_rate.is_finite())
+                if !(base_rate > 0.0
+                    && base_rate.is_finite()
+                    && burst_rate > 0.0
+                    && burst_rate.is_finite())
                 {
                     return fail("rates must be > 0");
                 }
-                if !(mean_burst_s > 0.0 && mean_burst_s.is_finite())
-                    || !(mean_quiet_s > 0.0 && mean_quiet_s.is_finite())
+                if !(mean_burst_s > 0.0
+                    && mean_burst_s.is_finite()
+                    && mean_quiet_s > 0.0
+                    && mean_quiet_s.is_finite())
                 {
                     return fail("sojourn times must be > 0");
                 }

@@ -19,20 +19,16 @@ cargo test -q -p timely-dse
 cargo test -q -p timely-baselines   # backend trait-conformance suite
 cargo test -q -p timely-lint        # lexer/rule units + fixtures + self-check
 cargo test -q -p timely-obs         # deterministic telemetry + trace export
-# Static analysis gate (lint.toml): determinism, panic-freedom, unit
-# discipline, float-eq, call-graph panic-reachability, hot-loop allocation
-# checks — plus the suppression budget ratchet (the run exits nonzero when
-# the live suppression count drifts from [budget] in either direction).
-# Runs before the golden-file studies so an invariant slip fails fast with
-# file:line [rule] output; use --fix-hints locally for suggested rewrites.
-cargo run --release -p timely-lint -- --fix-hints
-# The machine-readable report must be byte-identical across runs (same
-# discipline as the golden studies).
-cargo run --release -p timely-lint -- --json > target/lint_report_a.json
-cargo run --release -p timely-lint -- --json > target/lint_report_b.json
-cmp target/lint_report_a.json target/lint_report_b.json
-# No suppression may outlive the code it suppresses.
-cargo run --release -p timely-lint -- --stale-allows
+# Static analysis gate, run before the golden-file studies so an invariant
+# slip fails fast. Clippy enforces the workspace lint table in Cargo.toml
+# (panic-freedom, determinism, float equality, `#[expect]`-only suppression;
+# an expectation that no longer fires fails as unfulfilled). Test code is
+# out of scope, hence `--lib --bins`.
+cargo clippy --workspace --lib --bins -- -D warnings
+# timely-lint: unit discipline, allocation-free hot loops, and the
+# `#[expect]` count ratchet (exits nonzero when the count drifts from
+# EXPECT_BUDGET in either direction).
+cargo run --release -p timely-lint
 # The serving study also exercises the observability exports: the bin
 # validates the Chrome trace by parsing it back through the vendored serde
 # stubs before writing it (byte-identical across runs; golden-pinned too).
