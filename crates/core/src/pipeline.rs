@@ -183,10 +183,6 @@ pub struct ScheduleSummary {
     pub total_cycles: u64,
     /// Cycles of the slowest (throughput-limiting) layer.
     pub bottleneck_cycles: u64,
-    /// Crossbars used after duplication (clamped to the budget).
-    pub used_crossbars: u64,
-    /// Total crossbars available across all configured chips.
-    pub available_crossbars: u64,
 }
 
 impl ScheduleSummary {
@@ -220,12 +216,10 @@ impl ScheduleSummary {
             });
         }
         let scale = duplication_scale(available, placement.weighted_positions(input_slices));
-        let mut used = 0u64;
         let mut max_cycles = 1u64;
         let mut total_cycles = 0u64;
-        for (&xbars, &base) in placement.crossbars.iter().zip(&placement.position_base) {
-            let (duplication, cycles) = balanced_duplication(base * input_slices, scale);
-            used += xbars * duplication;
+        for &base in &placement.position_base {
+            let (_, cycles) = balanced_duplication(base * input_slices, scale);
             max_cycles = max_cycles.max(cycles);
             total_cycles += cycles;
         }
@@ -233,8 +227,6 @@ impl ScheduleSummary {
             layers: placement.len(),
             total_cycles,
             bottleneck_cycles: max_cycles,
-            used_crossbars: used.min(available),
-            available_crossbars: available,
         })
     }
 
@@ -586,8 +578,6 @@ mod tests {
                             full.layers.iter().map(|l| l.cycles).sum::<u64>()
                         );
                         assert_eq!(summary.bottleneck_cycles, full.bottleneck_cycles());
-                        assert_eq!(summary.used_crossbars, full.used_crossbars);
-                        assert_eq!(summary.available_crossbars, full.available_crossbars);
                         // Bitwise: the latency formulas share the same float ops.
                         assert_eq!(
                             summary.single_inference_latency(cfg).as_seconds().to_bits(),

@@ -15,11 +15,19 @@
 //!
 //! Step 2 and the screening bounds ([`Evaluator::screen_bounds`]) share one
 //! allocation-free core that reuses three config-dependent layers across
-//! candidates: per-`(crossbar_size, cells_per_weight)` layer placements,
-//! per-[`TotalsFactors::key`] layer sums (so a workload's energy counts cost
-//! a few multiplies, not a walk over its layers), and a one-entry memo of
-//! the last candidate's schedule summaries (reused by feature-axis and γ
-//! neighbours). All three are exact, so screening bounds equal evaluated
+//! candidates, each memoized for the evaluator's lifetime on exactly the
+//! configuration fields it reads: per-`(crossbar_size, cells_per_weight)`
+//! layer placements, per-[`TotalsFactors::key`] layer sums (so a workload's
+//! energy counts cost a few multiplies, not a walk over its layers), and
+//! schedule summaries keyed on the placement pair, the crossbar budget and
+//! the input time slices. One memo type serves all three: flat rows of one
+//! entry per workload model, a `BTreeMap` from key to row, and the row the
+//! last lookup hit, so a candidate that shares the previous candidate's key
+//! pays one comparison. γ never enters the schedule and crossbar budgets
+//! coincide across axes (53 × 2 = 106 × 1 sub-chips), so the production
+//! sweep's 68,964 bounded candidates need 755 distinct summary rows, where a
+//! memo of only the last candidate's summaries recomputed them 16,634 times.
+//! All three layers are exact, so screening bounds equal evaluated
 //! objectives bit for bit.
 //!
 //! Step 3 reuses simulation results the same way: a serving check's p99
@@ -50,7 +58,7 @@ use serde::{Deserialize, Serialize};
 use timely_core::accuracy::AccuracyStudy;
 use timely_core::backend::fold_cache_key;
 use timely_core::{
-    ArchError, AreaBreakdown, Backend, BackendId, EnergyBreakdown, EnergyByCategory, EvalError,
+    AreaBreakdown, Backend, BackendId, EnergyBreakdown, EnergyByCategory, EvalError,
     LayerPlacement, ScheduleSummary, TimelyConfig, TotalsFactors,
 };
 use timely_nn::workload::ModelWorkload;
@@ -285,16 +293,39 @@ pub enum BoundCheck {
 /// Why the shared workload-objective core failed, structured so the fresh
 /// evaluation path can reproduce the exact legacy reason strings and the
 /// screening path can classify without allocating.
-enum WorkloadFailure {
-    /// The model at this index cannot be analyzed at all.
-    Analysis(usize),
-    /// The architecture model rejected the model at this index.
-    Arch {
-        /// Index of the failing model in the workload set.
-        model: usize,
-        /// The underlying error.
-        err: ArchError,
+enum WorkloadFailure<'a> {
+    /// The model cannot be analyzed at all.
+    Analysis {
+        /// The failing model.
+        model: &'a Model,
+        /// Its analysis error.
+        err: &'a EvalError,
     },
+    /// The model's weights do not fit the configured crossbar budget.
+    TooLarge {
+        /// The failing model.
+        model: &'a Model,
+        /// Its crossbar counts.
+        counts: TooLarge,
+    },
+}
+
+impl WorkloadFailure<'_> {
+    /// The legacy `"{model}: {error}"` infeasibility reason, identical to
+    /// what the per-point trait path produced.
+    fn reason(&self) -> String {
+        match self {
+            WorkloadFailure::Analysis { model, err } => format!("{}: {err}", model.name()),
+            WorkloadFailure::TooLarge { model, counts } => {
+                let err = EvalError::model_too_large(
+                    BackendId::Timely,
+                    counts.required,
+                    counts.available,
+                );
+                format!("{}: {err}", model.name())
+            }
+        }
+    }
 }
 
 /// Exact per-candidate workload numbers shared by evaluation and screening.
@@ -324,20 +355,9 @@ pub struct Evaluator {
     cache: BTreeMap<u64, PointOutcome>,
     /// Memoized cross-architecture reference points, same key space.
     reference_cache: BTreeMap<u64, ReferencePoint>,
-    /// Per-`(crossbar_size, cells_per_weight)` layer placements, one per
-    /// model: the config-dependent-but-shareable half of the schedule, reused
-    /// across every candidate (and hill-climb neighbor) with the same pair.
-    placements: BTreeMap<(usize, usize), Vec<LayerPlacement>>,
-    /// Per-[`TotalsFactors::key`] layer sums, one per model, built lazily:
-    /// the config-independent half of the energy counts, reused across every
-    /// γ, sub-chip count, chip count, precision and feature set sharing the
-    /// `(crossbar_size, cells_per_weight, subchip_rows, subchip_cols)` tuple.
-    factors: BTreeMap<(usize, usize, usize, usize), Vec<TotalsFactors>>,
-    /// The schedule summaries of the last scheduled candidate, one per
-    /// model, reused while the next candidate agrees on every field the
-    /// schedule reads (feature-axis neighbours, γ and feature hill-climb
-    /// steps).
-    summaries: SummaryMemo,
+    /// The config-dependent layers of a workload evaluation, memoized on
+    /// the fields each one reads.
+    layers: Layers,
     /// Serving-check results by simulator input: the p99 in ms, or the
     /// infeasible reason. One entry per distinct [`ServingKey`].
     serving_memo: BTreeMap<ServingKey, Result<f64, String>>,
@@ -357,14 +377,74 @@ type ServingKey = (usize, Vec<(u64, u64)>);
 /// × chips` and the input time slices).
 type SummaryKey = ((usize, usize), (u64, u64));
 
-/// A one-entry memo of the per-model [`ScheduleSummary`] results.
-#[derive(Debug, Clone, Default)]
-struct SummaryMemo {
-    /// The key the stored results were computed for; `None` before the first
-    /// candidate.
-    key: Option<SummaryKey>,
-    /// One result per workload model, in workload order.
-    results: Vec<Result<ScheduleSummary, ArchError>>,
+/// The crossbars a model needs to hold its weights once, against those the
+/// configured chips hold.
+#[derive(Debug, Clone, Copy)]
+struct TooLarge {
+    required: u64,
+    available: u64,
+}
+
+/// One model's schedule summary, or its crossbar counts when it does not
+/// fit: 32 bytes, where `Result<ScheduleSummary, ArchError>` takes 72.
+type Fit = Result<ScheduleSummary, TooLarge>;
+
+/// [`ScheduleSummary::for_placement`] with its error reduced to the two
+/// counts it reports: the placement's required crossbars against the
+/// configuration's budget (`ArchError::ModelTooLarge`, its only failure).
+fn schedule(placement: &LayerPlacement, config: &TimelyConfig) -> Fit {
+    ScheduleSummary::for_placement(placement, config).map_err(|_| TooLarge {
+        required: placement.required_crossbars(),
+        available: ScheduleSummary::config_key(config).0,
+    })
+}
+
+/// Per-model rows memoized on the configuration fields they read, kept for
+/// the evaluator's lifetime: each distinct key's row (one entry per
+/// workload model, in workload order) is built once and stored flat, and
+/// the row the last lookup hit is remembered, so a candidate that shares
+/// the previous candidate's key costs one comparison.
+#[derive(Debug, Clone)]
+struct RowMemo<K, T> {
+    /// Entries per row: the number of workload models.
+    width: usize,
+    /// Every row, back to back, in the order their keys were first seen.
+    rows: Vec<T>,
+    /// Where each key's row starts in `rows`.
+    starts: BTreeMap<K, usize>,
+    /// The key and start of the row the last lookup returned.
+    last: Option<(K, usize)>,
+}
+
+impl<K: Copy + Ord, T> RowMemo<K, T> {
+    fn new(width: usize) -> Self {
+        Self {
+            width,
+            rows: Vec::new(),
+            starts: BTreeMap::new(),
+            last: None,
+        }
+    }
+
+    /// The row of `key`, built from `build` (one entry per workload model)
+    /// on the first lookup of the key.
+    fn row<I: IntoIterator<Item = T>>(&mut self, key: K, build: impl FnOnce() -> I) -> &[T] {
+        let start = match self.last {
+            Some((last, start)) if last == key => start,
+            _ => {
+                let rows = &mut self.rows;
+                let start = *self.starts.entry(key).or_insert_with(|| {
+                    let start = rows.len();
+                    rows.extend(build());
+                    start
+                });
+                self.last = Some((key, start));
+                start
+            }
+        };
+        debug_assert!(start + self.width <= self.rows.len(), "short memo row");
+        self.rows.get(start..start + self.width).unwrap_or_default()
+    }
 }
 
 /// The `(crossbar_size, cells_per_weight)` pair a [`LayerPlacement`]
@@ -373,21 +453,76 @@ fn placement_key(config: &TimelyConfig) -> (usize, usize) {
     (config.crossbar_size, config.cells_per_weight())
 }
 
-impl SummaryMemo {
-    fn key(config: &TimelyConfig) -> SummaryKey {
-        (placement_key(config), ScheduleSummary::config_key(config))
+/// The three config-dependent layers of a workload evaluation, each in its
+/// own [`RowMemo`].
+#[derive(Debug, Clone)]
+struct Layers {
+    /// Layer placements by `(crossbar_size, cells_per_weight)`: the
+    /// config-dependent-but-shareable half of the schedule.
+    placements: RowMemo<(usize, usize), LayerPlacement>,
+    /// Layer sums by [`TotalsFactors::key`]: the config-independent half of
+    /// the energy counts, shared by every γ, sub-chip count, chip count,
+    /// precision and feature set with the same
+    /// `(crossbar_size, cells_per_weight, subchip_rows, subchip_cols)`.
+    factors: RowMemo<(usize, usize, usize, usize), TotalsFactors>,
+    /// Schedule summaries by [`SummaryKey`], shared by every γ and feature
+    /// set and by fleets with equal crossbar budgets (53 × 2 = 106 × 1
+    /// sub-chips).
+    summaries: RowMemo<SummaryKey, Fit>,
+}
+
+/// One workload-model row of each layer, in workload order.
+type Rows<'a> = (&'a [LayerPlacement], &'a [TotalsFactors], &'a [Fit]);
+
+impl Layers {
+    fn new(models: usize) -> Self {
+        Self {
+            placements: RowMemo::new(models),
+            factors: RowMemo::new(models),
+            summaries: RowMemo::new(models),
+        }
     }
 
-    /// The stored result of the model at `index`, as a workload failure
-    /// when the model does not fit.
-    fn summary(&self, index: usize) -> Result<ScheduleSummary, WorkloadFailure> {
-        self.results[index]
-            .as_ref()
-            .copied()
-            .map_err(|err| WorkloadFailure::Arch {
-                model: index,
-                err: err.clone(),
+    /// The rows of a validated `config`, each built from the workload
+    /// analyses the first time a candidate needs it. A model whose analysis
+    /// failed gets default placement and layer-sum entries, never read:
+    /// evaluation fails on the analysis error first.
+    // lint:hot three memo lookups per candidate; rows are built once per key
+    fn rows(
+        &mut self,
+        analyzed: &[Result<ModelWorkload, EvalError>],
+        config: &TimelyConfig,
+    ) -> Rows<'_> {
+        let key = placement_key(config);
+        let placements = self.placements.row(key, || {
+            analyzed.iter().map(move |analysis| match analysis {
+                Ok(workload) => LayerPlacement::for_workload(workload, key.0, key.1),
+                Err(_) => LayerPlacement::default(),
             })
+        });
+        let factors = self.factors.row(TotalsFactors::key(config), || {
+            analyzed.iter().map(|analysis| match analysis {
+                Ok(workload) => TotalsFactors::for_workload(workload, config),
+                Err(_) => TotalsFactors::default(),
+            })
+        });
+        let summaries = self
+            .summaries
+            .row((key, ScheduleSummary::config_key(config)), || {
+                placements
+                    .iter()
+                    .map(|placement| schedule(placement, config))
+            });
+        (placements, factors, summaries)
+    }
+}
+
+/// `config` as one chip of its fleet: the configuration each serving-check
+/// profile describes.
+fn per_chip(config: &TimelyConfig) -> TimelyConfig {
+    TimelyConfig {
+        chips: 1,
+        ..config.clone()
     }
 }
 
@@ -404,15 +539,13 @@ impl Evaluator {
             .map(|model| ModelWorkload::try_analyze(model).map_err(EvalError::from))
             .collect();
         Self {
+            layers: Layers::new(workloads.len()),
             workloads,
             analyzed,
             constraints: Constraints::default(),
             serving: None,
             cache: BTreeMap::new(),
             reference_cache: BTreeMap::new(),
-            placements: BTreeMap::new(),
-            factors: BTreeMap::new(),
-            summaries: SummaryMemo::default(),
             serving_memo: BTreeMap::new(),
             stats: EvalStats::default(),
         }
@@ -425,12 +558,10 @@ impl Evaluator {
     }
 
     /// Enables the serving check, adding `p99 ms` to the objective vector.
+    /// The simulator validates `load` and `requests`: with a value it
+    /// rejects, every point that reaches the check is infeasible with a
+    /// `serving check: …` reason.
     pub fn with_serving(mut self, serving: ServingCheck) -> Self {
-        assert!(
-            serving.load > 0.0 && serving.load.is_finite(),
-            "serving load must be > 0"
-        );
-        assert!(serving.requests >= 1.0, "serving check needs >= 1 request");
         self.serving = Some(serving);
         self
     }
@@ -512,65 +643,12 @@ impl Evaluator {
         Ok(point)
     }
 
-    /// Ensures the placement rows for one `(crossbar_size, cells_per_weight)`
-    /// pair exist, building them once from the cached workload analyses.
-    fn ensure_placements(&mut self, key: (usize, usize)) {
-        if !self.placements.contains_key(&key) {
-            let rows = self
-                .analyzed
-                .iter()
-                .map(|analysis| match analysis {
-                    Ok(workload) => LayerPlacement::for_workload(workload, key.0, key.1),
-                    // Never read: evaluation fails on the analysis error
-                    // before touching this row.
-                    Err(_) => LayerPlacement::default(),
-                })
-                .collect();
-            self.placements.insert(key, rows);
-        }
-    }
-
-    /// Ensures the layer sums for one [`TotalsFactors::key`] exist, building
-    /// them once from the cached workload analyses.
-    fn ensure_factors(&mut self, config: &TimelyConfig) {
-        let key = TotalsFactors::key(config);
-        if !self.factors.contains_key(&key) {
-            let rows = self
-                .analyzed
-                .iter()
-                .map(|analysis| match analysis {
-                    Ok(workload) => TotalsFactors::for_workload(workload, config),
-                    // Never read, as for the placements.
-                    Err(_) => TotalsFactors::default(),
-                })
-                .collect();
-            self.factors.insert(key, rows);
-        }
-    }
-
-    /// Ensures the summary memo holds this candidate's schedule summaries,
-    /// recomputing them only when a field the schedule reads has changed.
-    // lint:hot per-point schedule summaries: runs once per memo miss
-    fn ensure_summaries(&mut self, config: &TimelyConfig) {
-        let key = SummaryMemo::key(config);
-        if self.summaries.key == Some(key) {
-            return;
-        }
-        self.summaries.results.clear();
-        for placement in &self.placements[&key.0] {
-            self.summaries
-                .results
-                .push(ScheduleSummary::for_placement(placement, config));
-        }
-        self.summaries.key = Some(key);
-    }
-
     /// The exact workload numbers of one candidate, computed allocation-free
-    /// from the cached analyses, placements, layer sums and schedule
-    /// summaries. This is the shared core of [`Evaluator::evaluate`] and
-    /// [`Evaluator::screen_bounds`]: both paths run the same float
-    /// operations in the same order, so a screened bound is bit-identical to
-    /// the objectives a full evaluation would produce.
+    /// from the cached analyses and the memoized placements, layer sums and
+    /// schedule summaries. This is the shared core of
+    /// [`Evaluator::evaluate`] and [`Evaluator::screen_bounds`]: both paths
+    /// run the same float operations in the same order, so a screened bound
+    /// is bit-identical to the objectives a full evaluation would produce.
     ///
     /// The arithmetic mirrors the [`Backend::evaluate`] trait path step for
     /// step (schedule summary for latency; totals × per-op energies grouped
@@ -580,22 +658,22 @@ impl Evaluator {
     fn workload_objectives(
         &mut self,
         config: &TimelyConfig,
-    ) -> Result<WorkloadNumbers, WorkloadFailure> {
-        let placement_key = placement_key(config);
-        self.ensure_placements(placement_key);
-        self.ensure_factors(config);
-        self.ensure_summaries(config);
-        let placements = &self.placements[&placement_key];
-        let factors = &self.factors[&TotalsFactors::key(config)];
+    ) -> Result<WorkloadNumbers, WorkloadFailure<'_>> {
+        let (placements, factors, summaries) = self.layers.rows(&self.analyzed, config);
         let mut energy_mj = 0.0;
         let mut latency_ms = 0.0;
         let mut min_latency_ms = f64::INFINITY;
-        for (index, analysis) in self.analyzed.iter().enumerate() {
+        let models = self.workloads.iter().zip(&self.analyzed);
+        for (((model, analysis), placement), (factors, fit)) in
+            models.zip(placements).zip(factors.iter().zip(summaries))
+        {
             let workload = analysis
                 .as_ref()
-                .map_err(|_| WorkloadFailure::Analysis(index))?;
-            let summary = self.summaries.summary(index)?;
-            energy_mj += model_energy_mj(workload, &factors[index], &placements[index], config);
+                .map_err(|err| WorkloadFailure::Analysis { model, err })?;
+            let summary = fit
+                .as_ref()
+                .map_err(|&counts| WorkloadFailure::TooLarge { model, counts })?;
+            energy_mj += model_energy_mj(workload, factors, placement, config);
             let latency = summary.single_inference_latency(config).as_seconds() * 1e3;
             latency_ms += latency;
             min_latency_ms = min_latency_ms.min(latency);
@@ -606,38 +684,6 @@ impl Evaluator {
             latency_ms: latency_ms / count,
             min_latency_ms,
         })
-    }
-
-    /// Formats a workload failure into the legacy `"{model}: {error}"`
-    /// infeasibility reason, identical to what the per-point trait path
-    /// produced.
-    fn failure_reason(&self, failure: &WorkloadFailure) -> String {
-        match failure {
-            WorkloadFailure::Analysis(index) => match self.analyzed[*index].as_ref() {
-                Err(err) => format!("{}: {err}", self.workloads[*index].name()),
-                // An Analysis failure records an Err slot by construction;
-                // if the record is ever out of sync, describe that instead
-                // of panicking inside an error-formatting path.
-                Ok(_) => format!(
-                    "{}: workload analysis failed (record out of sync)",
-                    self.workloads[*index].name()
-                ),
-            },
-            WorkloadFailure::Arch { model, err } => {
-                let err = match err {
-                    ArchError::ModelTooLarge {
-                        required_crossbars,
-                        available_crossbars,
-                    } => EvalError::model_too_large(
-                        BackendId::Timely,
-                        *required_crossbars,
-                        *available_crossbars,
-                    ),
-                    other => EvalError::from(other.clone()),
-                };
-                format!("{}: {err}", self.workloads[*model].name())
-            }
-        }
     }
 
     /// Computes an admissible lower-bound vector for a candidate without a
@@ -677,11 +723,8 @@ impl Evaluator {
         }
         let numbers = match self.workload_objectives(config) {
             Ok(numbers) => numbers,
-            Err(WorkloadFailure::Arch {
-                err: ArchError::ModelTooLarge { .. },
-                ..
-            }) => return BoundCheck::NeverFeasible,
-            Err(_) => return BoundCheck::Unknown,
+            Err(WorkloadFailure::TooLarge { .. }) => return BoundCheck::NeverFeasible,
+            Err(WorkloadFailure::Analysis { .. }) => return BoundCheck::Unknown,
         };
         if let Some(cap) = self.constraints.max_latency_ms {
             if numbers.latency_ms > cap {
@@ -699,85 +742,59 @@ impl Evaluator {
     }
 
     /// The serving memo key of a candidate whose workload objectives were
-    /// just computed, from per-chip schedule summaries: the summary memo's
-    /// when it holds the per-chip configuration (`chips == 1`), fresh ones
-    /// from the cached placements otherwise. `None` when a model does not
-    /// fit on one chip (or its placement is missing), so the caller runs the
-    /// check directly and keeps its error text.
-    fn serving_key(&self, config: &TimelyConfig) -> Option<ServingKey> {
-        let per_chip = TimelyConfig {
-            chips: 1,
-            ..config.clone()
-        };
-        let fresh;
-        let summaries = if self.summaries.key == Some(SummaryMemo::key(&per_chip)) {
-            &self.summaries.results
-        } else {
-            fresh = self
-                .placements
-                .get(&placement_key(config))?
-                .iter()
-                .map(|placement| ScheduleSummary::for_placement(placement, &per_chip))
-                .collect::<Vec<_>>();
-            &fresh
-        };
+    /// just computed, from the memoized schedule summaries of `per_chip`,
+    /// one chip of its `chips`-chip fleet. `None` when a model does not fit
+    /// on one chip, so the caller runs the check directly and keeps its
+    /// error text.
+    fn serving_key(&mut self, chips: usize, per_chip: &TimelyConfig) -> Option<ServingKey> {
+        let (_, _, summaries) = self.layers.rows(&self.analyzed, per_chip);
         let profiles = summaries
             .iter()
-            .map(|summary| {
-                let summary = summary.as_ref().ok()?;
+            .map(|fit| {
+                let summary = fit.as_ref().ok()?;
                 Some((
+                    summary.initiation_interval(per_chip).as_seconds().to_bits(),
                     summary
-                        .initiation_interval(&per_chip)
-                        .as_seconds()
-                        .to_bits(),
-                    summary
-                        .single_inference_latency(&per_chip)
+                        .single_inference_latency(per_chip)
                         .as_seconds()
                         .to_bits(),
                 ))
             })
             .collect::<Option<Vec<_>>>()?;
-        Some((config.chips, profiles))
+        Some((chips, profiles))
     }
 
-    /// The per-chip profiles of a candidate whose [`ServingKey`] is `key`,
-    /// built from cached numbers: service times from the key's bits, energy
-    /// from the cached layer sums and placements at `chips = 1`. The name
-    /// and every number equal [`ModelProfile::for_model`]'s bit for bit.
-    /// `None` when a model's analysis failed or its cached rows are missing.
+    /// The profiles of `per_chip` whose [`ServingKey`] is `key`, built from
+    /// memoized numbers: service times from the key's bits, energy from the
+    /// layer sums and placements. The name and every number equal
+    /// [`ModelProfile::for_model`]'s bit for bit. `None` when a model's
+    /// analysis failed.
     fn per_chip_profiles(
-        &self,
-        config: &TimelyConfig,
+        &mut self,
+        per_chip: &TimelyConfig,
         key: &ServingKey,
     ) -> Option<Vec<ModelProfile>> {
-        let per_chip = TimelyConfig {
-            chips: 1,
-            ..config.clone()
-        };
-        let placements = self.placements.get(&placement_key(&per_chip))?;
-        let factors = self.factors.get(&TotalsFactors::key(&per_chip))?;
-        key.1
-            .iter()
-            .enumerate()
-            .map(|(index, &(interval_bits, latency_bits))| {
-                let workload = self.analyzed.get(index)?.as_ref().ok()?;
-                Some(ModelProfile {
-                    name: self.workloads.get(index)?.name().to_string(),
-                    initiation_interval_s: f64::from_bits(interval_bits),
-                    latency_s: f64::from_bits(latency_bits),
-                    energy_mj: model_energy_mj(
-                        workload,
-                        factors.get(index)?,
-                        placements.get(index)?,
-                        &per_chip,
-                    ),
-                })
-            })
+        let (placements, factors, _) = self.layers.rows(&self.analyzed, per_chip);
+        let models = self.workloads.iter().zip(&self.analyzed);
+        models
+            .zip(placements.iter().zip(factors))
+            .zip(&key.1)
+            .map(
+                |(((model, analysis), (placement, factors)), &(interval_bits, latency_bits))| {
+                    let workload = analysis.as_ref().ok()?;
+                    Some(ModelProfile {
+                        name: model.name().to_string(),
+                        initiation_interval_s: f64::from_bits(interval_bits),
+                        latency_s: f64::from_bits(latency_bits),
+                        energy_mj: model_energy_mj(workload, factors, placement, per_chip),
+                    })
+                },
+            )
             .collect()
     }
 
     /// The per-chip model profiles the serving check hands the simulator
-    /// for `config`, built from the evaluator's cached placements, layer
+    /// for `config`, built from the evaluator's memoized placements, layer
     /// sums and schedule summaries. They equal [`ModelProfile::for_model`]
     /// bit for bit. `None` when the configuration is invalid, a workload
     /// model cannot be analyzed, or a model does not fit on one chip; the
@@ -785,17 +802,17 @@ impl Evaluator {
     /// directly.
     pub fn serving_profiles(&mut self, config: &TimelyConfig) -> Option<Vec<ModelProfile>> {
         config.validate().ok()?;
-        self.ensure_placements(placement_key(config));
-        self.ensure_factors(config);
-        let key = self.serving_key(config)?;
-        self.per_chip_profiles(config, &key)
+        let per_chip = per_chip(config);
+        let key = self.serving_key(config.chips, &per_chip)?;
+        self.per_chip_profiles(&per_chip, &key)
     }
 
     /// The serving check's p99 in ms for a candidate, or its infeasible
     /// reason. The simulation runs once per distinct [`ServingKey`]; later
     /// candidates with the same key reuse the stored result.
     fn serving_p99(&mut self, config: &TimelyConfig, check: ServingCheck) -> Result<f64, String> {
-        let Some(key) = self.serving_key(config) else {
+        let per_chip = per_chip(config);
+        let Some(key) = self.serving_key(config.chips, &per_chip) else {
             self.stats.serving_runs += 1;
             return run_serving_check(&self.workloads, config, check);
         };
@@ -804,7 +821,7 @@ impl Evaluator {
             return stored.clone();
         }
         self.stats.serving_runs += 1;
-        let result = match self.per_chip_profiles(config, &key) {
+        let result = match self.per_chip_profiles(&per_chip, &key) {
             Some(profiles) => {
                 #[cfg(debug_assertions)]
                 for (model, profile) in self.workloads.iter().zip(&profiles) {
@@ -828,7 +845,7 @@ impl Evaluator {
                 ))
             }
             // Not reached after a successful workload evaluation, which
-            // analyzed every model and built its cached rows.
+            // analyzed every model.
             None => run_serving_check(&self.workloads, config, check),
         };
         self.serving_memo.insert(key, result.clone());
@@ -871,7 +888,7 @@ impl Evaluator {
             Ok(numbers) => numbers,
             Err(failure) => {
                 return PointOutcome::Infeasible {
-                    reason: self.failure_reason(&failure),
+                    reason: failure.reason(),
                 }
             }
         };
@@ -1011,10 +1028,16 @@ mod tests {
             subchips_per_chip: 1,
             ..TimelyConfig::paper_default()
         };
-        assert!(matches!(
+        // The reason carries the crossbar counts exactly as the trait path
+        // reports them.
+        let err = Backend::evaluate(&TimelyAccelerator::new(tiny.clone()), &zoo::vgg_d())
+            .expect_err("VGG-D does not fit one sub-chip");
+        assert_eq!(
             eval.evaluate(&tiny),
-            PointOutcome::Infeasible { .. }
-        ));
+            PointOutcome::Infeasible {
+                reason: format!("VGG-D: {err}")
+            }
+        );
         assert_eq!(eval.stats().infeasible, 1);
     }
 

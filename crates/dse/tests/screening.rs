@@ -17,6 +17,8 @@
 //! Case counts are capped for the single-CPU CI container; override with
 //! `PROPTEST_CASES`.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -152,9 +154,18 @@ proptest! {
     }
 }
 
+/// The γ axis of a [`SearchSpace`] coordinate vector; γ never enters the
+/// schedule.
+const GAMMA_AXIS: usize = 1;
+
+/// The bit patterns of a bound or objective vector.
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|x| x.to_bits()).collect()
+}
+
 /// The fields the schedule summary reads (placement pair, crossbar budget,
-/// input time slices): consecutive candidates that agree on them share the
-/// evaluator's memoized summaries.
+/// input time slices): candidates that agree on them share one of the
+/// evaluator's memoized summary rows.
 fn schedule_fields(config: &TimelyConfig) -> (usize, usize, (u64, u64)) {
     (
         config.crossbar_size,
@@ -169,9 +180,11 @@ proptest! {
     /// One long-lived evaluator fed a seeded random walk over the
     /// production space screens and evaluates every point bitwise like a
     /// fresh evaluator does. The walk mixes random jumps with single-axis
-    /// moves, so the memoized schedule summaries are both reused (γ and
-    /// feature-set moves) and replaced (every other axis), and layer sums
-    /// are built lazily along the way.
+    /// moves, and every fourth step returns to the latest earlier point on
+    /// another schedule key with γ redrawn, so memoized schedule summaries
+    /// are reused on the next step (γ and feature-set moves), built for new
+    /// keys (every other axis) and reused after other keys came in between
+    /// (A → B → A), and layer sums are built lazily along the way.
     #[test]
     fn memoized_evaluation_matches_a_fresh_evaluator(seed in 0u64..u64::MAX) {
         let space = SearchSpace::production_space();
@@ -180,23 +193,23 @@ proptest! {
         let mut long_lived = pristine.clone();
         let mut rng = StdRng::seed_from_u64(seed);
         let mut coords = space.coords_at(rng.gen_range(0..space.len()));
-        let mut previous = None;
-        let (mut reuses, mut replacements) = (0, 0);
-        for _ in 0..24 {
+        let mut history = Vec::new();
+        let (mut reuses, mut replacements, mut returns) = (0, 0, 0);
+        for step in 0..24 {
             let config = space.decode(&coords);
             let fields = schedule_fields(&config);
-            match previous {
-                Some(p) if p == fields => reuses += 1,
+            match history.last() {
+                Some(&(_, previous)) if previous == fields => reuses += 1,
+                Some(_) if history.iter().any(|&(_, seen)| seen == fields) => returns += 1,
                 Some(_) => replacements += 1,
                 None => {}
             }
-            previous = Some(fields);
+            history.push((coords, fields));
 
             let (mut memo_bounds, mut fresh_bounds) = (Vec::new(), Vec::new());
             let memo_check = long_lived.screen_bounds(&config, &mut memo_bounds);
             let fresh_check = pristine.clone().screen_bounds(&config, &mut fresh_bounds);
             prop_assert_eq!(memo_check, fresh_check);
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             prop_assert_eq!(bits(&memo_bounds), bits(&fresh_bounds));
 
             let memo_outcome = long_lived.evaluate(&config);
@@ -210,7 +223,11 @@ proptest! {
                 fresh_outcome.report().map(|r| bits(&r.objectives.vector(false)))
             );
 
-            if rng.gen_range(0..4) == 0 {
+            let earlier = history.iter().rev().find(|&&(_, seen)| seen != fields);
+            if let (2, Some(&(earlier, _))) = (step % 4, earlier) {
+                coords = earlier;
+                coords[GAMMA_AXIS] = rng.gen_range(0..sizes[GAMMA_AXIS]);
+            } else if rng.gen_range(0..4) == 0 {
                 coords = space.coords_at(rng.gen_range(0..space.len()));
             } else {
                 let axis = rng.gen_range(0..timely_dse::AXES);
@@ -218,10 +235,52 @@ proptest! {
             }
         }
         prop_assert!(
-            reuses > 0 && replacements > 0,
-            "{reuses} reuses, {replacements} replacements"
+            reuses > 0 && replacements > 0 && returns > 0,
+            "{reuses} reuses, {replacements} replacements, {returns} returns"
         );
     }
+}
+
+/// The memo's rows are exact whatever order their keys come back in: every
+/// 7th production-space point, screened through one evaluator in grid order
+/// and again with γ as the outermost loop (each γ pass returns to the keys
+/// of the pass before), gets the same verdict and bound bits both times,
+/// and the same as a fresh evaluator gives it.
+#[test]
+fn screening_order_does_not_change_memoized_bounds() {
+    let space = SearchSpace::production_space();
+    let pristine = Evaluator::new(zoo::dse_benchmarks());
+    let screen = |eval: &mut Evaluator, index: usize| {
+        let mut bounds = Vec::new();
+        let check = eval.screen_bounds(&space.config_at(index), &mut bounds);
+        (check, bits(&bounds))
+    };
+    // 7 shares no factor with any axis size, so the slice covers every
+    // value of every axis.
+    let grid_order: Vec<usize> = (0..space.len()).step_by(7).collect();
+    let mut gamma_outer = grid_order.clone();
+    gamma_outer.sort_by_key(|&index| space.coords_at(index)[GAMMA_AXIS]);
+
+    let mut eval = pristine.clone();
+    let grid: BTreeMap<_, _> = grid_order
+        .iter()
+        .map(|&index| (index, screen(&mut eval, index)))
+        .collect();
+    let mut eval = pristine.clone();
+    for &index in &gamma_outer {
+        assert_eq!(screen(&mut eval, index), grid[&index], "point {index}");
+    }
+    for (&index, memoized) in &grid {
+        assert_eq!(
+            &screen(&mut pristine.clone(), index),
+            memoized,
+            "point {index}"
+        );
+    }
+    assert!(grid.values().any(|(check, _)| *check == BoundCheck::Bounds));
+    assert!(grid
+        .values()
+        .any(|(check, _)| *check == BoundCheck::NeverFeasible));
 }
 
 proptest! {
@@ -358,6 +417,48 @@ fn serving_p99_matches_a_direct_run_across_fleet_sizes() {
     // One run per fleet size on 53 sub-chips, reused by the other feature
     // set, plus the four direct runs that reject VGG-D.
     assert_eq!((stats.serving_runs, stats.serving_reuses), (7, 3));
+}
+
+/// A load or request count the simulator rejects makes every point that
+/// reaches the serving check infeasible, with the simulator's reason; the
+/// evaluator and a grid run over the paper neighborhood never unwind.
+#[test]
+fn hostile_serving_inputs_make_points_infeasible_without_unwinding() {
+    let base = ServingCheck::default();
+    let load = |load| ServingCheck { load, ..base };
+    let requests = |requests| ServingCheck { requests, ..base };
+    for (label, check) in [
+        ("load 0", load(0.0)),
+        ("load -1", load(-1.0)),
+        ("load NaN", load(f64::NAN)),
+        ("load inf", load(f64::INFINITY)),
+        ("requests 0", requests(0.0)),
+        ("requests 0.5", requests(0.5)),
+        ("requests NaN", requests(f64::NAN)),
+        ("requests inf", requests(f64::INFINITY)),
+    ] {
+        let run = std::panic::catch_unwind(|| {
+            let evaluator = Evaluator::new(vec![zoo::cnn_1()]).with_serving(check);
+            let outcome = evaluator.clone().evaluate(&TimelyConfig::paper_default());
+            let mut explorer = Explorer::new(SearchSpace::paper_neighborhood(), evaluator);
+            explorer.run(&Strategy::Grid {
+                max_points: usize::MAX,
+            });
+            (outcome, explorer.report())
+        });
+        let Ok((outcome, report)) = run else {
+            panic!("{label}: unwound");
+        };
+        match outcome {
+            PointOutcome::Infeasible { reason } => {
+                assert!(reason.starts_with("serving check: "), "{label}: {reason}");
+            }
+            other => panic!("{label}: paper default gave {other:?}"),
+        }
+        assert!(report.frontier.is_empty(), "{label}: feasible points");
+        assert_eq!(report.stats.evaluations, 0, "{label}");
+        assert!(report.stats.infeasible > 0, "{label}");
+    }
 }
 
 /// A serving run gets its per-chip model profiles from the evaluator's
