@@ -91,6 +91,52 @@ fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
+/// FNV-1a over one fixed byte string `t`, tabulated so that it can be
+/// folded into any state in O(1): `fnv1a(h, t) == scale·h + offset[h & 0xff]`
+/// (wrapping). This is exact because each FNV-1a step `h ↦ (h ^ b)·P` is
+/// affine in `h` once the low byte of `h` is known:
+/// - XOR with a byte changes only the low 8 bits, so `h ^ b = h + d` with
+///   `d` a function of the low byte alone;
+/// - the low 8 bits of a product depend only on the low 8 bits of its
+///   factors, so the next state's low byte is a function of it too.
+///
+/// Composing the `|t|` steps gives `scale = P^|t|` and one offset per low
+/// byte, which [`FnvTail::new`] reads off 256 FNV passes over `t`.
+#[derive(Debug)]
+pub(crate) struct FnvTail {
+    scale: u64,
+    offset: [u64; 256],
+}
+
+impl FnvTail {
+    /// Tabulates the fixed string `tail`.
+    pub(crate) fn new(tail: &[u8]) -> Self {
+        let scale = tail
+            .iter()
+            .fold(1u64, |scale, _| scale.wrapping_mul(FNV_PRIME));
+        let offset = std::array::from_fn(|low| {
+            let low = low as u64;
+            fnv1a(low, tail).wrapping_sub(scale.wrapping_mul(low))
+        });
+        Self { scale, offset }
+    }
+
+    /// `fnv1a(hash, tail)`.
+    pub(crate) fn fold(&self, hash: u64) -> u64 {
+        // Always `Some`: a byte indexes a 256-entry table.
+        let offset = self.offset.get(usize::from(hash as u8)).copied();
+        self.scale
+            .wrapping_mul(hash)
+            .wrapping_add(offset.unwrap_or_default())
+    }
+
+    /// FNV-1a from the offset basis over `prefix` followed by the tail: the
+    /// [`stable_hash_of`] of a value whose encoding is `prefix ++ tail`.
+    pub(crate) fn hash_after(&self, prefix: &[u8]) -> u64 {
+        self.fold(fnv1a(FNV_OFFSET, prefix))
+    }
+}
+
 /// Folds a configuration hash into a backend tag: the backend-qualified
 /// evaluation cache key.
 pub fn fold_cache_key(tag: u64, config_hash: u64) -> u64 {
@@ -106,6 +152,11 @@ pub fn fold_cache_key(tag: u64, config_hash: u64) -> u64 {
 /// per-value strings, and its fast paths are exact, so the encoded bytes
 /// (and every hash) are those of plain `to_string()`/`{:?}` formatting;
 /// unit tests pin literal hash values.
+///
+/// This full-encoding path is also the reference for
+/// [`TimelyConfig::stable_hash`](crate::TimelyConfig::stable_hash), which
+/// returns the same value without re-hashing the default component
+/// library, and its fallback for any other library.
 pub fn stable_hash_of<T: Serialize>(value: &T) -> u64 {
     fnv1a(FNV_OFFSET, serde::json::to_string(value).as_bytes())
 }
@@ -434,6 +485,28 @@ mod tests {
     use crate::config::TimelyConfig;
     use crate::pipeline::ThroughputReport;
     use timely_nn::zoo;
+
+    #[test]
+    fn fnv_tail_folds_exactly_from_every_low_byte() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let library = serde::json::to_string(&timely_analog::ComponentLibrary::timely_65nm());
+        let mut rng = StdRng::seed_from_u64(29);
+        for tail in [&b""[..], b"}", b"\"}", library.as_bytes()] {
+            let table = FnvTail::new(tail);
+            for low in 0..=u64::from(u8::MAX) {
+                for _ in 0..4 {
+                    let state = (rng.gen::<u64>() & !0xff) | low;
+                    assert_eq!(
+                        table.fold(state),
+                        fnv1a(state, tail),
+                        "tail of {} bytes from {state:#x}",
+                        tail.len()
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn energy_categories_sum_to_total() {

@@ -1,7 +1,9 @@
 //! Architecture configuration for TIMELY.
 
+use crate::backend::FnvTail;
 use crate::error::ArchError;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Serializer};
+use std::sync::OnceLock;
 use timely_analog::ComponentLibrary;
 
 /// The input-read mapping strategy.
@@ -198,15 +200,65 @@ impl TimelyConfig {
     /// compare equal if and only if they describe the same design point (up
     /// to the fidelity of the serialized representation).
     ///
-    /// It is FNV-1a over the serde stub's encoding, as
-    /// [`stable_hash_of`](crate::backend::stable_hash_of) computes it. Unit
-    /// tests pin literal values, so a change to the encoded bytes cannot
-    /// slip through.
+    /// It is FNV-1a over the serde stub's encoding, the value
+    /// [`stable_hash_of`](crate::backend::stable_hash_of) computes (std's
+    /// hashers are randomly keyed per process, which would break
+    /// golden-file tests). Unit tests pin literal values, so a change to
+    /// the encoded bytes cannot slip through.
+    ///
+    /// The encoding ends with the component library and the closing `}`,
+    /// and every configuration the explorer builds carries
+    /// [`ComponentLibrary::timely_65nm`]. For that library only the ten
+    /// leading fields and the `"components":` key are hashed byte by byte;
+    /// the fixed tail is folded in with one multiply-add from a 256-entry
+    /// table built once per process. That is exact: FNV-1a over a fixed
+    /// string is `scale·h + offset[h & 0xff]` in the starting state `h`,
+    /// because XOR with a byte touches only the low 8 bits and the low 8
+    /// bits of a product depend only on those of its factors. A config
+    /// with any other library takes the full-encoding path. The library
+    /// test is `==`, which could only confuse encodings through a `-0.0`
+    /// against a `0.0` field, and a unit test pins that the default library
+    /// has no zero field.
     pub fn stable_hash(&self) -> u64 {
-        // FNV-1a over the canonical serde encoding (std's hashers are
-        // randomly keyed per process, which would break golden-file tests) —
-        // the one scheme shared by every backend configuration.
-        crate::backend::stable_hash_of(self)
+        static DEFAULT_TAIL: OnceLock<(ComponentLibrary, FnvTail)> = OnceLock::new();
+        let (library, tail) = DEFAULT_TAIL.get_or_init(|| {
+            let library = ComponentLibrary::timely_65nm();
+            let mut encoding = serde::json::to_string(&library).into_bytes();
+            encoding.push(b'}');
+            (library, FnvTail::new(&encoding))
+        });
+        // Destructured so that a new field cannot be left out of the prefix.
+        let Self {
+            crossbar_size,
+            subchip_rows,
+            subchip_cols,
+            gamma,
+            cell_bits,
+            weight_bits,
+            activation_bits,
+            subchips_per_chip,
+            chips,
+            features,
+            components,
+        } = self;
+        if components != library {
+            return crate::backend::stable_hash_of(self);
+        }
+        // The derived encoding's prefix, field by field in declaration order.
+        let mut s = Serializer::new();
+        s.begin_struct();
+        s.field("crossbar_size", crossbar_size);
+        s.field("subchip_rows", subchip_rows);
+        s.field("subchip_cols", subchip_cols);
+        s.field("gamma", gamma);
+        s.field("cell_bits", cell_bits);
+        s.field("weight_bits", weight_bits);
+        s.field("activation_bits", activation_bits);
+        s.field("subchips_per_chip", subchips_per_chip);
+        s.field("chips", chips);
+        s.field("features", features);
+        s.write_raw(",\"components\":");
+        tail.hash_after(s.into_string().as_bytes())
     }
 }
 
@@ -391,6 +443,102 @@ mod tests {
             TimelyAccelerator::new(TimelyConfig::paper_default()).cache_key(),
             0x4de5_3de2_fd87_5a86
         );
+    }
+
+    /// Asserts that the tail-folding hash equals the full-encoding one.
+    fn assert_hash_is_exact(config: &TimelyConfig) {
+        assert_eq!(
+            config.stable_hash(),
+            crate::backend::stable_hash_of(config),
+            "{config:?}"
+        );
+    }
+
+    #[test]
+    fn stable_hash_equals_the_full_encoding_hash_at_extreme_fields() {
+        let fields: [fn(&mut TimelyConfig, usize); 9] = [
+            |c, v| c.crossbar_size = v,
+            |c, v| c.subchip_rows = v,
+            |c, v| c.subchip_cols = v,
+            |c, v| c.gamma = v,
+            |c, v| c.cell_bits = v as u8,
+            |c, v| c.weight_bits = v as u8,
+            |c, v| c.activation_bits = v as u8,
+            |c, v| c.subchips_per_chip = v,
+            |c, v| c.chips = v,
+        ];
+        for base in [TimelyConfig::paper_default(), TimelyConfig::paper_16bit()] {
+            assert_hash_is_exact(&base);
+            for set in fields {
+                for value in [0, 1, usize::from(u8::MAX), usize::MAX] {
+                    let mut config = base.clone();
+                    set(&mut config, value);
+                    assert_hash_is_exact(&config);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stable_hash_equals_the_full_encoding_hash_for_every_feature_set() {
+        for bits in 0..8 {
+            let features = Features {
+                analog_local_buffers: bits & 1 != 0,
+                time_domain_interfaces: bits & 2 != 0,
+                o2ir_mapping: bits & 4 != 0,
+            };
+            assert_hash_is_exact(&TimelyConfig {
+                features,
+                ..TimelyConfig::paper_default()
+            });
+        }
+    }
+
+    #[test]
+    fn other_component_libraries_take_the_full_encoding_path() {
+        use timely_analog::components::ComponentSpec;
+        use timely_analog::Time;
+        let default = ComponentLibrary::timely_65nm();
+        // `==` picks the folded path, and `-0.0 == 0.0` although the two
+        // encode differently: the default library must have no zero field.
+        let encoding = serde::json::to_string(&default);
+        let numbers: Vec<f64> = encoding
+            .split(|c: char| "{}[],:".contains(c))
+            .filter_map(|token| token.parse().ok())
+            .collect();
+        // Fourteen components of three numbers each.
+        assert_eq!(numbers.len(), 42, "{encoding}");
+        assert!(numbers.iter().all(|&n| n != 0.0), "{encoding}");
+
+        let relu_latency = |seconds: f64| ComponentLibrary {
+            relu: ComponentSpec {
+                latency: Time::from_seconds(seconds),
+                ..default.relu
+            },
+            ..default
+        };
+        let libraries = [
+            // One field away from the default.
+            relu_latency(default.relu.latency.as_seconds() * 2.0),
+            relu_latency(0.0),
+            relu_latency(-0.0),
+            relu_latency(f64::NAN),
+            ComponentLibrary {
+                hyper_link: default.dtc,
+                ..default
+            },
+        ];
+        for components in libraries {
+            let config = TimelyConfig {
+                components,
+                ..TimelyConfig::paper_default()
+            };
+            assert_hash_is_exact(&config);
+            assert_ne!(
+                config.stable_hash(),
+                TimelyConfig::paper_default().stable_hash()
+            );
+        }
     }
 
     #[test]

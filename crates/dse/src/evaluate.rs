@@ -308,6 +308,8 @@ enum WorkloadFailure<'a> {
         /// Its crossbar counts.
         counts: TooLarge,
     },
+    /// The workload set is empty: there is nothing to average over.
+    NoWorkloads,
 }
 
 impl WorkloadFailure<'_> {
@@ -324,9 +326,13 @@ impl WorkloadFailure<'_> {
                 );
                 format!("{}: {err}", model.name())
             }
+            WorkloadFailure::NoWorkloads => NO_WORKLOADS.to_string(),
         }
     }
 }
+
+/// Why nothing is feasible for an evaluator over an empty workload set.
+const NO_WORKLOADS: &str = "no workload models to evaluate";
 
 /// Exact per-candidate workload numbers shared by evaluation and screening.
 struct WorkloadNumbers {
@@ -529,11 +535,14 @@ fn per_chip(config: &TimelyConfig) -> TimelyConfig {
 impl Evaluator {
     /// Creates an evaluator over the given workload models.
     ///
-    /// # Panics
+    /// Over an empty workload set no point is feasible: a point that passes
+    /// the pre-screens is infeasible with a `no workload models` reason,
+    /// [`screen_bounds`] answers [`BoundCheck::NeverFeasible`] for it, and
+    /// [`evaluate_reference`] answers [`EvalError::Unsupported`].
     ///
-    /// Panics if `workloads` is empty.
+    /// [`screen_bounds`]: Evaluator::screen_bounds
+    /// [`evaluate_reference`]: Evaluator::evaluate_reference
     pub fn new(workloads: Vec<Model>) -> Self {
-        assert!(!workloads.is_empty(), "evaluator needs at least one model");
         let analyzed = workloads
             .iter()
             .map(|model| ModelWorkload::try_analyze(model).map_err(EvalError::from))
@@ -613,11 +622,18 @@ impl Evaluator {
     /// # Errors
     ///
     /// Propagates evaluation errors (e.g. a workload the backend does not
-    /// support).
+    /// support), and answers [`EvalError::Unsupported`] over an empty
+    /// workload set.
     pub fn evaluate_reference(
         &mut self,
         backend: &dyn Backend,
     ) -> Result<ReferencePoint, EvalError> {
+        if self.workloads.is_empty() {
+            return Err(EvalError::Unsupported {
+                backend: backend.id(),
+                reason: NO_WORKLOADS.to_string(),
+            });
+        }
         let key = backend.cache_key();
         if let Some(hit) = self.reference_cache.get(&key) {
             self.stats.cache_hits += 1;
@@ -659,6 +675,9 @@ impl Evaluator {
         &mut self,
         config: &TimelyConfig,
     ) -> Result<WorkloadNumbers, WorkloadFailure<'_>> {
+        if self.analyzed.is_empty() {
+            return Err(WorkloadFailure::NoWorkloads);
+        }
         let (placements, factors, summaries) = self.layers.rows(&self.analyzed, config);
         let mut energy_mj = 0.0;
         let mut latency_ms = 0.0;
@@ -723,7 +742,9 @@ impl Evaluator {
         }
         let numbers = match self.workload_objectives(config) {
             Ok(numbers) => numbers,
-            Err(WorkloadFailure::TooLarge { .. }) => return BoundCheck::NeverFeasible,
+            Err(WorkloadFailure::TooLarge { .. } | WorkloadFailure::NoWorkloads) => {
+                return BoundCheck::NeverFeasible
+            }
             Err(WorkloadFailure::Analysis { .. }) => return BoundCheck::Unknown,
         };
         if let Some(cap) = self.constraints.max_latency_ms {

@@ -218,13 +218,9 @@ pub struct Explorer {
 }
 
 impl Explorer {
-    /// Creates an explorer over `space` using `evaluator`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the space is empty.
+    /// Creates an explorer over `space` using `evaluator`. Over an empty
+    /// space (an axis with no values) every strategy visits nothing.
     pub fn new(space: SearchSpace, evaluator: Evaluator) -> Self {
-        assert!(!space.is_empty(), "search space has an empty axis");
         let dims = Objectives::dims(evaluator.serving_enabled());
         Self {
             space,
@@ -300,8 +296,12 @@ impl Explorer {
         Ok(point)
     }
 
-    /// Runs one strategy to completion.
+    /// Runs one strategy to completion; over an empty space it visits
+    /// nothing.
     pub fn run(&mut self, strategy: &Strategy) {
+        if self.space.is_empty() {
+            return;
+        }
         match *strategy {
             Strategy::Grid { max_points } => self.run_grid(max_points),
             Strategy::Random { samples, seed } => self.run_random(samples, seed),
@@ -609,6 +609,77 @@ mod tests {
         assert!(!report.frontier.is_empty());
         assert_eq!(report.stats.evaluations, 12);
         assert_eq!(report.stats.pruned, 0);
+    }
+
+    #[test]
+    fn empty_workloads_and_empty_axes_yield_nothing_feasible() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let strategies = [
+            Strategy::Grid {
+                max_points: usize::MAX,
+            },
+            Strategy::Grid { max_points: 5 },
+            Strategy::Random {
+                samples: 20,
+                seed: 5,
+            },
+            Strategy::HillClimb {
+                starts: 2,
+                max_steps: 4,
+                seed: 9,
+            },
+        ];
+        let empty_axis: [fn(&mut SearchSpace); crate::space::AXES] = [
+            |s| s.crossbar_sizes.clear(),
+            |s| s.gammas.clear(),
+            |s| s.cell_bits.clear(),
+            |s| s.precisions.clear(),
+            |s| s.subchip_geometries.clear(),
+            |s| s.subchips_per_chip.clear(),
+            |s| s.chips.clear(),
+            |s| s.feature_sets.clear(),
+        ];
+        let mut cases = vec![("no workloads".to_string(), small_space(), vec![])];
+        for (axis, clear) in empty_axis.iter().enumerate() {
+            let mut space = small_space();
+            clear(&mut space);
+            cases.push((format!("axis {axis} empty"), space, vec![zoo::cnn_1()]));
+        }
+        for (name, space, models) in &cases {
+            for strategy in &strategies {
+                for screening in [false, true] {
+                    let run = catch_unwind(AssertUnwindSafe(|| {
+                        let evaluator = Evaluator::new(models.clone());
+                        let mut ex =
+                            Explorer::new(space.clone(), evaluator).with_screening(screening);
+                        ex.run(strategy);
+                        ex.report()
+                    }));
+                    let case = format!("{name}, {strategy:?}, screening {screening}");
+                    let report = run.unwrap_or_else(|_| panic!("{case}: unwound"));
+                    assert!(report.points.is_empty(), "{case}: a feasible point");
+                    let s = report.screening;
+                    assert_eq!(s.screened_out + s.evaluated, s.visited, "{case}");
+                    assert_eq!(s.visited == 0, space.is_empty(), "{case}");
+                }
+            }
+        }
+        // The evaluator's own entry points over no workloads.
+        let paper = TimelyConfig::paper_default();
+        let mut evaluator = Evaluator::new(Vec::new());
+        assert!(matches!(
+            evaluator.evaluate(&paper),
+            PointOutcome::Infeasible { reason } if reason.contains("no workload models")
+        ));
+        assert_eq!(
+            evaluator.screen_bounds(&paper, &mut Vec::new()),
+            BoundCheck::NeverFeasible
+        );
+        let backend = timely_core::TimelyAccelerator::new(paper);
+        assert!(matches!(
+            evaluator.evaluate_reference(&backend),
+            Err(EvalError::Unsupported { .. })
+        ));
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::error::SimError;
 use crate::event::EventQueue;
 use crate::faults::{FaultKind, Scenario, StatsMode};
 use crate::scheduler::{FleetLayout, Policy, Router, Sharding};
-use crate::stats::{ChipStats, LatencyStats, ModelStats, SimReport};
+use crate::stats::{exact_latency_stats, ChipStats, LatencyStats, ModelStats, SimReport};
 use crate::traffic::{ArrivalProcess, ModelMix, OpenLoopSource, TrafficSpec};
 use rand::distributions::{Distribution, Exp};
 use rand::rngs::StdRng;
@@ -832,54 +832,18 @@ impl<'a, R: Recorder> Run<'a, R> {
             .gauge_max("sim.queue.depth_peak", depth as f64);
     }
 
-    /// Per-model energy divided by requests actually issued: in a
-    /// heterogeneous fleet per-request energy depends on the serving chip
-    /// (equal to the single profile value in a homogeneous fleet, and
-    /// consistent with the fleet-level energy_mj_per_request).
-    fn model_energy_mj_per_request(&self, m: usize) -> f64 {
-        if self.issued_per_model[m] > 0 {
-            self.energy_per_model_mj[m] / self.issued_per_model[m] as f64
-        } else {
-            0.0
-        }
-    }
-
-    fn report(self) -> SimReport {
+    fn report(mut self) -> SimReport {
         let horizon = self.horizon_s;
-        // The exact arm reproduces the pre-streaming reports bit-for-bit:
-        // same sample concatenation order, same sorted-percentile math.
-        let (per_model, latency, completed) = match &self.latencies {
-            LatencyAccum::Exact(latencies_per_model) => {
-                let mut all_latencies: Vec<f64> = Vec::new();
-                let per_model: Vec<ModelStats> = self.sim.chip_profiles[0]
-                    .iter()
-                    .enumerate()
-                    .map(|(m, profile)| {
-                        let samples = &latencies_per_model[m];
-                        all_latencies.extend_from_slice(samples);
-                        ModelStats {
-                            name: profile.name.clone(),
-                            offered: self.offered_per_model[m],
-                            completed: samples.len() as u64,
-                            latency: LatencyStats::from_samples_s(samples),
-                            energy_mj_per_request: self.model_energy_mj_per_request(m),
-                        }
-                    })
-                    .collect();
-                let completed = all_latencies.len() as u64;
-                (
-                    per_model,
-                    LatencyStats::from_samples_s(&all_latencies),
-                    completed,
-                )
-            }
+        // Per-model and fleet-wide latency summaries; their counts are the
+        // completed requests. The exact arm reproduces the pre-streaming
+        // reports bit for bit.
+        let (per_model_latency, latency) = match &mut self.latencies {
+            LatencyAccum::Exact(latencies_per_model) => exact_latency_stats(latencies_per_model),
             LatencyAccum::Streaming(streams) => {
                 let mut merged = StreamingLatency::new();
-                let per_model: Vec<ModelStats> = self.sim.chip_profiles[0]
+                let per_model = streams
                     .iter()
-                    .enumerate()
-                    .map(|(m, profile)| {
-                        let stream = &streams[m];
+                    .map(|stream| {
                         // Every per-model stream is built with the same
                         // default log scale, so the merge cannot fail on
                         // mismatched edges; if it ever did, only the
@@ -889,19 +853,37 @@ impl<'a, R: Recorder> Run<'a, R> {
                         merged.count += stream.count;
                         merged.sum_s += stream.sum_s;
                         merged.max_s = merged.max_s.max(stream.max_s);
-                        ModelStats {
-                            name: profile.name.clone(),
-                            offered: self.offered_per_model[m],
-                            completed: stream.count,
-                            latency: stream.stats(),
-                            energy_mj_per_request: self.model_energy_mj_per_request(m),
-                        }
+                        stream.stats()
                     })
                     .collect();
-                let completed = merged.count;
-                (per_model, merged.stats(), completed)
+                (per_model, merged.stats())
             }
         };
+        let completed = latency.count;
+        let profiles = self.sim.chip_profiles.first().into_iter().flatten();
+        let per_model: Vec<ModelStats> = profiles
+            .zip(&self.offered_per_model)
+            .zip(self.energy_per_model_mj.iter().zip(&self.issued_per_model))
+            .zip(per_model_latency)
+            .map(
+                |(((profile, &offered), (&energy_mj, &issued)), latency)| ModelStats {
+                    name: profile.name.clone(),
+                    offered,
+                    completed: latency.count,
+                    latency,
+                    // Per-model energy divided by requests actually issued:
+                    // in a heterogeneous fleet per-request energy depends on
+                    // the serving chip (equal to the single profile value in
+                    // a homogeneous fleet, and consistent with the
+                    // fleet-level energy_mj_per_request).
+                    energy_mj_per_request: if issued > 0 {
+                        energy_mj / issued as f64
+                    } else {
+                        0.0
+                    },
+                },
+            )
+            .collect();
         let chips: Vec<ChipStats> = self
             .chips
             .iter()

@@ -36,27 +36,55 @@ impl LatencyStats {
 
     /// Computes the summary from latency samples in seconds.
     pub fn from_samples_s(samples: &[f64]) -> Self {
-        if samples.is_empty() {
-            return Self::empty();
-        }
         let mut sorted: Vec<f64> = samples.to_vec();
         sorted.sort_by(f64::total_cmp);
+        Self::from_sorted_s(&sorted)
+    }
+
+    /// The summary of samples in seconds already in ascending
+    /// [`f64::total_cmp`] order. The mean sums them in that order.
+    fn from_sorted_s(sorted: &[f64]) -> Self {
+        let Some(&max) = sorted.last() else {
+            return Self::empty();
+        };
         let to_ms = 1e3;
         let mean = sorted.iter().sum::<f64>() / sorted.len() as f64;
         Self {
             count: sorted.len() as u64,
             mean_ms: mean * to_ms,
-            p50_ms: percentile(&sorted, 0.50) * to_ms,
-            p95_ms: percentile(&sorted, 0.95) * to_ms,
-            p99_ms: percentile(&sorted, 0.99) * to_ms,
-            max_ms: sorted[sorted.len() - 1] * to_ms,
+            p50_ms: percentile(sorted, 0.50) * to_ms,
+            p95_ms: percentile(sorted, 0.95) * to_ms,
+            p99_ms: percentile(sorted, 0.99) * to_ms,
+            max_ms: max * to_ms,
         }
     }
 }
 
-/// Nearest-rank percentile of an ascending-sorted slice (`q` in `[0, 1]`).
+/// Exact latency summaries of a run: one per model, then the fleet-wide
+/// one over every sample. Each model's samples are sorted in place, and the
+/// fleet-wide order is merged from those sorted runs. Every summary equals
+/// [`LatencyStats::from_samples_s`] of the same samples bit for bit: a
+/// sequence sorted by `total_cmp` is unique bit for bit (only equal bit
+/// patterns compare equal), whatever order the samples came in and whether
+/// the sort is stable, and the mean sums it in that order.
+pub(crate) fn exact_latency_stats(per_model: &mut [Vec<f64>]) -> (Vec<LatencyStats>, LatencyStats) {
+    let mut all = Vec::with_capacity(per_model.iter().map(Vec::len).sum());
+    let stats = per_model
+        .iter_mut()
+        .map(|samples| {
+            samples.sort_unstable_by(f64::total_cmp);
+            all.extend_from_slice(samples);
+            LatencyStats::from_sorted_s(samples)
+        })
+        .collect();
+    // A concatenation of sorted runs: the stable sort only merges them.
+    all.sort_by(f64::total_cmp);
+    (stats, LatencyStats::from_sorted_s(&all))
+}
+
+/// Nearest-rank percentile of an ascending-sorted slice (`q` in `[0, 1]`);
+/// 0 for an empty slice.
 fn percentile(sorted: &[f64], q: f64) -> f64 {
-    debug_assert!(!sorted.is_empty());
     let product = q * sorted.len() as f64;
     // Nearest-rank is ceil(q * n), but binary floating point can push an
     // exactly-integral product infinitesimally high (0.55 * 20 =
@@ -69,7 +97,9 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     } else {
         product.ceil() as usize
     };
-    sorted[rank.clamp(1, sorted.len()) - 1]
+    // Rank 0 reads the first sample, a rank past the end the last.
+    let index = rank.min(sorted.len()).saturating_sub(1);
+    sorted.get(index).copied().unwrap_or_default()
 }
 
 /// Per-model outcome of a run.
@@ -208,6 +238,44 @@ mod tests {
             stats.max_ms,
         ] {
             assert!((v - 4.0).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn exact_stats_equal_copy_and_sort_bit_for_bit() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let bits = |s: &LatencyStats| {
+            let floats = [s.mean_ms, s.p50_ms, s.p95_ms, s.p99_ms, s.max_ms];
+            (s.count, floats.map(f64::to_bits))
+        };
+        let mut rng = StdRng::seed_from_u64(29);
+        // Draws from few distinct values, so every set has ties (within a
+        // model and across models).
+        let mut samples = |n: usize| -> Vec<f64> {
+            (0..n)
+                .map(|_| f64::from(rng.gen_range(1u32..40)) * 1.7e-4)
+                .collect()
+        };
+        let cases: Vec<Vec<Vec<f64>>> = vec![
+            vec![],
+            vec![vec![]],
+            vec![samples(1)],
+            vec![samples(500)],
+            vec![samples(300), vec![], samples(1), samples(211)],
+            vec![samples(64), samples(64), samples(64)],
+        ];
+        for mut per_model in cases {
+            // The copy-and-sort report: each model's samples, then their
+            // unsorted concatenation, each through `from_samples_s`.
+            let expected: Vec<_> = per_model
+                .iter()
+                .map(|s| bits(&LatencyStats::from_samples_s(s)))
+                .collect();
+            let fleet = bits(&LatencyStats::from_samples_s(&per_model.concat()));
+            let (stats, merged) = exact_latency_stats(&mut per_model);
+            assert_eq!(stats.iter().map(bits).collect::<Vec<_>>(), expected);
+            assert_eq!(bits(&merged), fleet);
         }
     }
 

@@ -41,6 +41,11 @@ cargo run --release -p timely-bench --bin backend_matrix > /dev/null
 # (standard_iterations_reproduce_the_pinned_outputs), so a speed-only change
 # that moves any simulated, explored or inferred number fails here.
 cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
+# The A/B helper, run as a one-pair self-comparison so it cannot rot: it
+# fails if either run fails or reports an incorrect output.
+cargo build --release --offline -q --manifest-path benchmark/Cargo.toml
+scripts/ab.sh serving-open 0.2 1 benchmark/target/release/timely-benchmark \
+    benchmark/target/release/timely-benchmark > /dev/null
 # Soft perf gate: re-measure DSE/sim throughput and compare against the
 # committed BENCH_*.json baselines by ratio. Deltas are reported; only a
 # >2x slowdown fails (wall-clock noise between machines must not).

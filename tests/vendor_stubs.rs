@@ -65,6 +65,22 @@ fn stable_hashes_are_pinned_across_the_production_space() {
 }
 
 #[test]
+fn stable_hash_equals_the_full_encoding_hash_across_the_production_space() {
+    // `stable_hash` folds the default component library in from a table;
+    // every 7th production-space point must hash as its full encoding does.
+    use timely::arch::backend::stable_hash_of;
+    let space = timely::dse::SearchSpace::production_space();
+    for index in (0..space.len()).step_by(7) {
+        let config = space.config_at(index);
+        assert_eq!(
+            config.stable_hash(),
+            stable_hash_of(&config),
+            "point {index}"
+        );
+    }
+}
+
+#[test]
 fn zoo_model_round_trips_through_the_serde_stub() {
     // SqueezeNet exercises the enum payloads (Branch/Pool/Conv variants),
     // nested Vec<ConvSpec>, and String layer names.
