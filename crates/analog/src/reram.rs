@@ -140,19 +140,21 @@ impl Crossbar {
     /// Returns [`AnalogError::DimensionMismatch`] for out-of-bounds
     /// coordinates or [`AnalogError::LevelOutOfRange`] for an invalid level.
     pub fn program(&mut self, row: usize, col: usize, level: u32) -> Result<(), AnalogError> {
-        if row >= self.rows || col >= self.cols {
+        let config = self.config;
+        let (rows, cols) = (self.rows, self.cols);
+        let Some(cell) = self.index(row, col).and_then(|i| self.levels.get_mut(i)) else {
             return Err(AnalogError::DimensionMismatch {
-                expected: self.rows * self.cols,
-                found: row * self.cols + col,
+                expected: rows * cols,
+                found: row.saturating_mul(cols).saturating_add(col),
             });
-        }
-        if level >= self.config.levels() {
+        };
+        if level >= config.levels() {
             return Err(AnalogError::LevelOutOfRange {
                 level,
-                bits: self.config.bits,
+                bits: config.bits,
             });
         }
-        self.levels[row * self.cols + col] = level;
+        *cell = level;
         Ok(())
     }
 
@@ -175,9 +177,23 @@ impl Crossbar {
         Ok(())
     }
 
-    /// The programmed level of a cell.
-    pub fn level(&self, row: usize, col: usize) -> u32 {
-        self.levels[row * self.cols + col]
+    /// The programmed level of a cell, or `None` outside the array.
+    pub fn level(&self, row: usize, col: usize) -> Option<u32> {
+        self.index(row, col)
+            .and_then(|i| self.levels.get(i))
+            .copied()
+    }
+
+    /// The row-major index of an in-bounds cell.
+    fn index(&self, row: usize, col: usize) -> Option<usize> {
+        (row < self.rows && col < self.cols).then(|| row * self.cols + col)
+    }
+
+    /// The programmed levels, one row-major slice of `cols` cells per row.
+    /// `chunks_exact` panics on a zero size; a zero-column array has no
+    /// cells, so any nonzero size yields no rows.
+    fn level_rows(&self) -> std::slice::ChunksExact<'_, u32> {
+        self.levels.chunks_exact(self.cols.max(1))
     }
 
     /// The per-column charge (in coulombs) deposited when each row `i` is
@@ -203,18 +219,18 @@ impl Crossbar {
             });
         }
         let mut charges = vec![0.0; self.cols];
-        for (row, time) in input_times.iter().enumerate() {
+        for (time, row) in input_times.iter().zip(self.level_rows()) {
             let t_seconds = time.as_seconds();
             // Exact-zero sentinel for "this input row is off" — an epsilon
             // would skip real (tiny) charge times.
             if t_seconds == 0.0 {
                 continue;
             }
-            for (col, charge) in charges.iter_mut().enumerate() {
+            for (charge, &level) in charges.iter_mut().zip(row) {
                 // `program`/`program_column` range-check every level, so the
                 // lookup cannot fail; propagating instead of unwrapping
                 // keeps the charge path panic-free all the same.
-                let g = self.config.conductance(self.level(row, col))?;
+                let g = self.config.conductance(level)?;
                 *charge += t_seconds * v_dd.as_volts() * g;
             }
         }
@@ -236,9 +252,9 @@ impl Crossbar {
             });
         }
         let mut sums = vec![0u64; self.cols];
-        for (row, &input) in inputs.iter().enumerate() {
-            for (col, sum) in sums.iter_mut().enumerate() {
-                *sum += input as u64 * self.level(row, col) as u64;
+        for (&input, row) in inputs.iter().zip(self.level_rows()) {
+            for (sum, &level) in sums.iter_mut().zip(row) {
+                *sum += input as u64 * level as u64;
             }
         }
         Ok(sums)
@@ -291,12 +307,30 @@ mod tests {
     fn programming_and_reading_back() {
         let mut xbar = Crossbar::new(CellConfig::timely_4bit(), 4, 4);
         xbar.program(2, 3, 7).unwrap();
-        assert_eq!(xbar.level(2, 3), 7);
+        assert_eq!(xbar.level(2, 3), Some(7));
         assert!(xbar.program(5, 0, 1).is_err());
         assert!(xbar.program(0, 0, 16).is_err());
         xbar.program_column(1, &[1, 2, 3, 4]).unwrap();
-        assert_eq!(xbar.level(3, 1), 4);
+        assert_eq!(xbar.level(3, 1), Some(4));
         assert!(xbar.program_column(0, &[1, 2]).is_err());
+    }
+
+    #[test]
+    fn out_of_range_coordinates_read_as_none() {
+        let mut xbar = Crossbar::timely_256();
+        xbar.program(1, 0, 9).unwrap();
+        assert_eq!(xbar.level(1, 0), Some(9));
+        // One column past the edge is not cell (1, 0), and one row past it
+        // is not a panic.
+        assert_eq!(xbar.level(0, 256), None);
+        assert_eq!(xbar.level(256, 0), None);
+        assert_eq!(xbar.level(usize::MAX, usize::MAX), None);
+        assert!(xbar.program(0, 256, 1).is_err());
+        assert!(xbar.program(usize::MAX, usize::MAX, 1).is_err());
+        assert_eq!(xbar.level(1, 0), Some(9));
+        let empty = Crossbar::new(CellConfig::timely_4bit(), 3, 0);
+        assert_eq!(empty.level(0, 0), None);
+        assert_eq!(empty.digital_reference(&[1, 2, 3]).unwrap(), vec![]);
     }
 
     #[test]

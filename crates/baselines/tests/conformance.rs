@@ -3,7 +3,7 @@
 //! evaluation, structured `Unsupported` answers instead of panics, and
 //! serving physics the discrete-event simulator can trust.
 
-use timely_baselines::{registry, Backend, BackendId, EvalError, IsaacModel};
+use timely_baselines::{registry, registry_with_chips, Backend, BackendId, EvalError, IsaacModel};
 use timely_core::{TimelyAccelerator, TimelyConfig};
 use timely_nn::zoo;
 use timely_obs::NoopRecorder;
@@ -93,6 +93,46 @@ fn every_backend_answers_every_zoo_model_without_panicking() {
                     model.name()
                 ),
             }
+        }
+    }
+}
+
+#[test]
+fn no_backend_runs_faster_than_its_peak_density() {
+    // Physical ceiling: realised MACs per second (one op = one MAC, as in
+    // `PeakSpec`) over the instance's whole area can never exceed the peak
+    // density, TOPs/(s·mm²). On ISAAC's suite at 16 chips the registry's
+    // 8-bit TIMELY realises 0.53–0.89 of it (`paper_16bit` 0.71–0.96) and
+    // ISAAC 0.20–0.35, so a throughput bug that crosses peak fails here.
+    // The tolerance covers floating-point rounding only.
+    const TOLERANCE: f64 = 1e-9;
+    for chips in [1, 16] {
+        for backend in registry_with_chips(chips).expect("1 and 16 chips are valid") {
+            let mut evaluated = 0;
+            for model in zoo::all_models() {
+                let Ok(outcome) = backend.evaluate(&model) else {
+                    continue;
+                };
+                evaluated += 1;
+                let realised_tops_per_mm2 = outcome.total_macs as f64
+                    / outcome.physics.initiation_interval.as_seconds()
+                    / 1e12
+                    / outcome.area_mm2;
+                let utilisation = realised_tops_per_mm2 / outcome.peak.tops_per_mm2;
+                assert!(
+                    utilisation <= 1.0 + TOLERANCE,
+                    "{} with {chips} chips on {}: {realised_tops_per_mm2} TOPs/mm² \
+                     is {utilisation}x its peak {}",
+                    backend.name(),
+                    model.name(),
+                    outcome.peak.tops_per_mm2
+                );
+            }
+            assert!(
+                evaluated > 0,
+                "{} with {chips} chips evaluated nothing",
+                backend.name()
+            );
         }
     }
 }

@@ -1,13 +1,11 @@
-//! Shared helpers for the figure, study, and perf-harness binaries.
+//! Shared helpers for the figure and study binaries.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the TIMELY
-//! paper's evaluation (see `DESIGN.md` for the experiment index). This
-//! library holds the table-formatting helpers they share, plus the
-//! performance-tracking records behind `perf_harness` and the committed
-//! `BENCH_*.json` baselines.
+//! paper's evaluation (see README's "Reproducing the paper's evaluation"
+//! for the index). This library holds the table-formatting helpers and the
+//! study artifacts they share.
 
 pub mod artifacts;
-pub mod perf;
 pub mod table;
 
 pub use table::Table;

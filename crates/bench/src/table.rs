@@ -4,8 +4,8 @@ use std::fmt::Write as _;
 
 /// A simple left-aligned text table with a title, a header row, and data rows.
 ///
-/// The harness binaries print these tables to stdout so the regenerated
-/// numbers can be diffed against the values recorded in `EXPERIMENTS.md`.
+/// The figure and study binaries print these tables to stdout; the
+/// golden-pinned ones are snapshotted under `tests/golden/`.
 #[derive(Debug, Clone)]
 pub struct Table {
     title: String,

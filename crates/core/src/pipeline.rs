@@ -440,8 +440,8 @@ mod tests {
     #[test]
     fn table_iv_peak_energy_efficiency_8bit() {
         // Table IV: TIMELY(8-bit) = 21 TOPs/W. Our component-level accounting
-        // lands in the same regime (within ~40%); EXPERIMENTS.md records the
-        // exact measured value.
+        // lands in the same regime (within ~40%); the `table4_peak` bin
+        // prints the exact measured value.
         let peak = PeakPerformance::for_config(&TimelyConfig::paper_default());
         assert!(
             (12.0..32.0).contains(&peak.tops_per_watt),

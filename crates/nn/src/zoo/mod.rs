@@ -14,7 +14,7 @@
 //! al.; SqueezeNet v1.0: Iandola et al.; CNN-1 and MLP-L: PRIME's MNIST
 //! benchmarks). Where the source papers leave minor details open (e.g. MSRA
 //! spatial-pyramid pooling), we use standard single-crop approximations and
-//! note them in `EXPERIMENTS.md`.
+//! note them in each family's module doc.
 
 mod msra;
 mod resnet;

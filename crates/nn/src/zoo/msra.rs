@@ -5,7 +5,7 @@
 //! The original models use spatial-pyramid pooling before the classifier; we
 //! approximate it with a single 7×7 pooling stage over the final feature map
 //! (the dominant SPP bin), which preserves the convolutional workload exactly
-//! and changes only the tiny classifier input (noted in `EXPERIMENTS.md`).
+//! and changes only the tiny classifier input.
 //!
 //! Configuration summary (weight layers, following Table 3 of He et al.):
 //!

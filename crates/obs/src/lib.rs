@@ -1,18 +1,13 @@
 //! `timely-obs` — the workspace's observability layer.
 //!
-//! Two strictly separated time domains, so instrumentation never threatens
-//! the golden-file regime:
-//!
-//! * **Deterministic telemetry** — counters, high-water gauges, log-bucketed
-//!   [`Histogram`]s, and [`SpanRecord`]s, all keyed on *simulated* time or
-//!   logical counters. Given the same inputs, every byte of every report and
-//!   trace export is identical across runs and machines; pinning them with
-//!   golden files is sound.
-//! * **Opt-in wall-clock profiling** — the [`Profiler`] in [`profiler`], the
-//!   single library module of the workspace allowed to read the wall clock
-//!   (its `Instant::now` calls are the only library sites that carry an
-//!   `#[expect(clippy::disallowed_methods)]`). Its output is
-//!   machine-dependent by design and must never feed a pinned artifact.
+//! Everything here is **deterministic telemetry**: counters, high-water
+//! gauges, log-bucketed [`Histogram`]s, and [`SpanRecord`]s, all keyed on
+//! *simulated* time or logical counters. Given the same inputs, every byte
+//! of every report and trace export is identical across runs and machines,
+//! so pinning them with golden files is sound. No workspace code reads the
+//! wall clock; the wall-clock profile of the engines is a `--trace 1` run of
+//! the stand-alone `benchmark/` package, which keeps that time domain out of
+//! every pinned artifact.
 //!
 //! The engines are instrumented through the [`Recorder`] trait, whose
 //! methods default to inlined no-ops: a hot loop generic over `R: Recorder`
@@ -30,11 +25,9 @@
 #![warn(missing_debug_implementations)]
 
 pub mod metrics;
-pub mod profiler;
 pub mod recorder;
 pub mod trace;
 
 pub use metrics::{Histogram, MergeError, MetricsRegistry};
-pub use profiler::{ProfilePhase, Profiler};
 pub use recorder::{NoopRecorder, Recorder, TraceRecorder};
 pub use trace::{ChromeTrace, SpanRecord, TraceEvent};

@@ -19,7 +19,8 @@ use crate::trace::SpanRecord;
 /// All timestamps (`start_ts`/`end_ts`) live on the *run's* deterministic
 /// axis: simulated seconds in the serving simulator, logical candidate
 /// counts in the DSE. Implementations must never read the wall clock —
-/// wall-clock profiling is [`crate::profiler::Profiler`]'s separate domain.
+/// wall-clock profiling is the benchmark's separate domain (a `--trace 1`
+/// run of the `benchmark/` package).
 pub trait Recorder {
     /// Whether this recorder keeps what it is given. Call sites may use
     /// this to skip *preparing* expensive inputs (e.g. composing keys); the

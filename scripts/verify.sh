@@ -13,12 +13,8 @@ cd "$(dirname "$0")/.."
 cargo fmt --check
 # Compiler warnings are gate failures: the workspace must build warning-free.
 RUSTFLAGS="-D warnings" cargo build --release --workspace --all-targets
+# Every crate is a default workspace member, so this one run covers them all.
 cargo test -q
-cargo test -q -p timely-sim
-cargo test -q -p timely-dse
-cargo test -q -p timely-baselines   # backend trait-conformance suite
-cargo test -q -p timely-lint        # lexer/rule units + fixtures + self-check
-cargo test -q -p timely-obs         # deterministic telemetry + trace export
 # Static analysis gate, run before the golden-file studies so an invariant
 # slip fails fast. Clippy enforces the workspace lint table in Cargo.toml
 # (panic-freedom, determinism, float equality, `#[expect]`-only suppression;
@@ -46,8 +42,8 @@ cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 cargo build --release --offline -q --manifest-path benchmark/Cargo.toml
 scripts/ab.sh serving-open 0.2 1 benchmark/target/release/timely-benchmark \
     benchmark/target/release/timely-benchmark > /dev/null
-# Soft perf gate: re-measure DSE/sim throughput and compare against the
-# committed BENCH_*.json baselines by ratio. Deltas are reported; only a
-# >2x slowdown fails (wall-clock noise between machines must not).
-cargo run --release -p timely-bench --bin perf_harness -- --smoke --check
+# Perf gate: the medians of three traced `dse` runs against the baselines
+# committed in the script. Only a >2x slowdown of DSE screening or of the
+# simulator's per-event cost fails (wall-clock noise must not).
+scripts/perf_gate.sh benchmark/target/release/timely-benchmark
 echo "tier-1 verify: OK"

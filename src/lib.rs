@@ -19,8 +19,7 @@
 //!   (declarative search spaces, grid/random/hill-climb strategies,
 //!   constraint pruning, memo-cached evaluation, Pareto frontiers),
 //! * [`obs`] — observability: deterministic counters/gauges/histograms and
-//!   Chrome-trace span export keyed on simulated time, plus a strictly
-//!   separated opt-in wall-clock [`Profiler`](timely_obs::Profiler).
+//!   Chrome-trace span export keyed on simulated time.
 //!
 //! # Quickstart
 //!
@@ -77,7 +76,7 @@ pub mod prelude {
     };
     pub use timely_nn::{Model, ModelBuilder};
     pub use timely_obs::{
-        ChromeTrace, Histogram, MetricsRegistry, NoopRecorder, Profiler, Recorder, TraceRecorder,
+        ChromeTrace, Histogram, MetricsRegistry, NoopRecorder, Recorder, TraceRecorder,
     };
     pub use timely_sim::{
         ArrivalProcess, Fault, FaultKind, ModelMix, Policy, Scenario, ServingSimulator, Sharding,
